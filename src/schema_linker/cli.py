@@ -108,9 +108,20 @@ def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temper
     default=False,
     help="Prompt with the full schema instead of the linked sub-schema.",
 )
+@click.option(
+    "--schemas",
+    "schema_root",
+    default=None,
+    type=click.Path(file_okay=False, path_type=Path),
+    help="Directory holding one subdirectory per database; required with --baseline.",
+)
 @click.option("--workers", default=4, show_default=True, type=int)
-def generate(link_output, out_path, cache_path, replay, model, temperature, baseline, workers):
+def generate(
+    link_output, out_path, cache_path, replay, model, temperature, baseline, schema_root, workers
+):
     """Generate SQL for previously linked questions."""
+    if baseline and schema_root is None:
+        _fatal("--baseline needs --schemas to render the full schema")
     config = RunConfig(
         generator_model=model,
         temperatures=(0.2, temperature),
@@ -120,7 +131,8 @@ def generate(link_output, out_path, cache_path, replay, model, temperature, base
         workers=workers,
     )
     try:
-        outcome = run_generation(link_output, config, out_path=out_path)
+        repo = SchemaRepository(schema_root) if schema_root is not None else None
+        outcome = run_generation(link_output, config, out_path=out_path, repo=repo)
     except (LinkerError, FileNotFoundError, ValueError) as exc:
         _fatal(str(exc))
     click.echo(

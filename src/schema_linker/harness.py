@@ -2,9 +2,10 @@
 evaluation reports, and the mode sweep.
 
 Run outputs are append-only JSON-lines files keyed by question_id, so an
-interrupted run resumes by skipping rows already present. Reports are
-regenerated deterministically from run outputs: rows are sorted, floats are
-formatted, and no timestamps are written.
+interrupted run resumes by skipping questions whose row succeeded; failed
+rows are retried, and the last row for a question_id is the one that
+counts. Reports are regenerated deterministically from run outputs: rows
+are sorted, floats are formatted, and no timestamps are written.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ def ingest_dataset(
     repo = SchemaRepository(schema_root)
     questions: list[Question] = []
     diagnostics: list[str] = []
+    first_seen: dict[str, int] = {}
     found_any_schema = False
     for i, row in enumerate(rows):
         where = f"{path.name}[{i}]"
@@ -186,6 +188,12 @@ def ingest_dataset(
             if field_name not in row:
                 raise ParseError(f"{where}: missing field {field_name!r}")
         question_id = str(row["question_id"])
+        if question_id in first_seen:
+            raise ParseError(
+                f"{where}: duplicate question_id {question_id!r}, "
+                f"first seen at {path.name}[{first_seen[question_id]}]"
+            )
+        first_seen[question_id] = i
         db_id = str(row["db_id"])
         gold_sql = row.get("SQL") or ""
         if require_gold_sql and not gold_sql:
@@ -229,6 +237,11 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
+def _latest_rows(path: Path) -> dict[str, dict]:
+    """The last row per question_id in a run output, in first-seen order."""
+    return {row["question_id"]: row for row in _read_jsonl(path)}
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     path: Path
@@ -250,9 +263,9 @@ def run_linking(
 ) -> RunOutcome:
     """Link every question, appending one JSON row each to out_path.
 
-    Rows already present (by question_id) are skipped, which makes an
-    interrupted run resumable. Per-question failures are recorded inline
-    and do not stop the run.
+    Questions whose latest row in out_path succeeded are skipped, which
+    makes an interrupted run resumable. Per-question failures are recorded
+    inline, do not stop the run, and are retried by the next run.
     """
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -263,8 +276,12 @@ def run_linking(
     mode_name = canonical_mode_name(config.mode)
     mode = preset(mode_name)
 
-    existing = {row["question_id"] for row in _read_jsonl(out_path)}
-    todo = [q for q in questions if q.question_id not in existing]
+    done = {
+        question_id
+        for question_id, row in _latest_rows(out_path).items()
+        if row.get("error") is None
+    }
+    todo = [q for q in questions if q.question_id not in done]
 
     def work(question: Question) -> dict:
         schema = repo.schema(question.db_id)
@@ -298,7 +315,6 @@ def run_linking(
                 schema, result.chosen_tables, result.induced_fk_edges
             ),
             "join_path": render_join_path(result),
-            "full_schema": render_schema(schema),
             "error": None,
         }
         usage = client.pop_usage()
@@ -364,14 +380,20 @@ def run_generation(
     config: RunConfig,
     client: CachingClient | None = None,
     out_path: str | Path | None = None,
+    *,
+    repo: SchemaRepository | None = None,
 ) -> RunOutcome:
     """Generate SQL for every linked row, carrying the link fields forward.
 
-    Renders the join-path prompt from the row's filtered schema, or the
-    baseline prompt from the full schema when config.baseline is set.
+    Renders the join-path prompt from the row's filtered schema, or, when
+    config.baseline is set, the baseline prompt from the full schema of the
+    row's database in repo. The last link row per question_id is used, and
+    output rows that already hold generated SQL are skipped.
     """
+    if config.baseline and repo is None:
+        raise ValueError("baseline generation needs repo= to render the full schema")
     link_output = Path(link_output)
-    rows = _read_jsonl(link_output)
+    rows = list(_latest_rows(link_output).values())
     if not rows:
         raise EmptyInputError(f"no rows in {link_output}")
     if out_path is None:
@@ -382,8 +404,12 @@ def run_generation(
     generator_model = config.generator_model or config.linker_model
     generation_temperature = config.temperatures[1]
 
-    existing = {row["question_id"] for row in _read_jsonl(out_path)}
-    todo = [row for row in rows if row["question_id"] not in existing]
+    done = {
+        question_id
+        for question_id, row in _latest_rows(out_path).items()
+        if row.get("generation_error") is None
+    }
+    todo = [row for row in rows if row["question_id"] not in done]
 
     def work(row: dict) -> dict:
         out = dict(row)
@@ -394,7 +420,10 @@ def run_generation(
                 "message": "linking failed upstream",
             }
             return out
-        schema_text = row["full_schema"] if config.baseline else row["filtered_schema"]
+        if config.baseline:
+            schema_text = render_schema(repo.schema(row["db_id"]))
+        else:
+            schema_text = row["filtered_schema"]
         request = render_sql_gen_prompt(
             row["question"],
             schema_text,
@@ -496,7 +525,7 @@ def run_evaluation(
     run_output = Path(run_output)
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    rows = {row["question_id"]: row for row in _read_jsonl(run_output)}
+    rows = _latest_rows(run_output)
 
     records: list[EvalRecord] = []
     extraction_failures: list[dict] = []

@@ -132,6 +132,14 @@ class Schema:
     def _by_name(self) -> dict[str, TableDef]:
         return {table.name.casefold(): table for table in self.tables}
 
+    @cached_property
+    def rendered(self) -> str:
+        """The whole schema as prompt text; see ``sql_analysis.render_schema``."""
+        # Imported here because sql_analysis imports this module.
+        from .sql_analysis import render_filtered_schema
+
+        return render_filtered_schema(self, self.table_names, self.foreign_keys)
+
     @property
     def table_names(self) -> tuple[str, ...]:
         return tuple(table.name for table in self.tables)

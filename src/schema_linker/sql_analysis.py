@@ -278,9 +278,10 @@ def render_filtered_schema(
     """Render the chosen tables as compact DDL-like text for prompts.
 
     Tables appear in case-insensitive name order; each block lists columns
-    in schema order and then the induced foreign keys whose source is that
-    table. Rendering the full table set with all declared keys reproduces
-    the whole-schema serialization byte for byte.
+    in schema order and then, in their given order, the induced foreign
+    keys whose source is that table and whose target is chosen. Rendering
+    the full table set with all declared keys reproduces the whole-schema
+    serialization byte for byte.
     """
     canonical: set[str] = set()
     for name in chosen_tables:
@@ -290,6 +291,15 @@ def render_filtered_schema(
         canonical.add(resolved)
     ordered = sorted(canonical, key=str.casefold)
     chosen_keys = {name.casefold() for name in ordered}
+
+    fk_lines: dict[str, list[str]] = {}
+    for fk in induced_fk_edges:
+        if fk.to_table.casefold() not in chosen_keys:
+            continue
+        fk_lines.setdefault(fk.from_table.casefold(), []).append(
+            f"    FOREIGN KEY ({_quote_ident(fk.from_column)}) "
+            f"REFERENCES {_quote_ident(fk.to_table)}({_quote_ident(fk.to_column)})"
+        )
 
     blocks: list[str] = []
     for name in ordered:
@@ -303,23 +313,18 @@ def render_filtered_schema(
             if col.is_primary_key:
                 entry += " PRIMARY KEY"
             lines.append(entry)
-        for fk in induced_fk_edges:
-            if fk.from_table.casefold() != name.casefold():
-                continue
-            if fk.to_table.casefold() not in chosen_keys:
-                continue
-            lines.append(
-                f"    FOREIGN KEY ({_quote_ident(fk.from_column)}) "
-                f"REFERENCES {_quote_ident(fk.to_table)}({_quote_ident(fk.to_column)})"
-            )
+        lines.extend(fk_lines.get(name.casefold(), ()))
         body = ",\n".join(lines)
         blocks.append(f"CREATE TABLE {_quote_ident(name)} (\n{body}\n);")
     return "\n\n".join(blocks)
 
 
 def render_schema(schema: Schema) -> str:
-    """Whole-schema serialization used by baseline prompts."""
-    return render_filtered_schema(schema, schema.table_names, schema.foreign_keys)
+    """Whole-schema serialization used by src/dst and baseline prompts.
+
+    The text is rendered once per ``Schema`` object and memoised on it.
+    """
+    return schema.rendered
 
 
 def _condition(fk: ForeignKeyEdge) -> str:

@@ -3,9 +3,17 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from schema_linker import __version__
+from schema_linker import (
+    CachingClient,
+    RunConfig,
+    TranscriptCache,
+    __version__,
+    run_generation,
+)
 from schema_linker.cli import main
 from schema_linker.harness import _read_jsonl
+
+from toy_corpus import ScriptedBackend
 
 
 @pytest.fixture
@@ -132,6 +140,35 @@ class TestGenerate:
         rows = _read_jsonl(tmp_path / "link_generated.jsonl")
         assert len(rows) == 10
         assert all(row["predicted_sql"] for row in rows)
+
+    def test_baseline_reads_the_schema_root(
+        self, runner, golden_pipeline, repo, schema_root, tmp_path
+    ):
+        cache_path = tmp_path / "cache.jsonl"
+        record = RunConfig(cache_path=cache_path, cache_mode="record", baseline=True)
+        client = CachingClient(
+            TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record"
+        )
+        run_generation(
+            golden_pipeline.link_path,
+            record,
+            client=client,
+            out_path=tmp_path / "recorded.jsonl",
+            repo=repo,
+        )
+        args = [
+            "generate",
+            "--in", str(golden_pipeline.link_path),
+            "--out", str(tmp_path / "replayed.jsonl"),
+            "--cache", str(cache_path),
+            "--baseline",
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "--baseline needs --schemas" in result.stderr
+        result = runner.invoke(main, args + ["--schemas", str(schema_root)])
+        assert result.exit_code == 0, result.output
+        assert "generated SQL for 10 question(s) (0 already present, 0 failed)" in result.output
 
     def test_missing_input_is_fatal(self, runner, tmp_path):
         result = runner.invoke(

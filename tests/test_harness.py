@@ -22,8 +22,9 @@ from schema_linker import (
     write_schema_document,
 )
 from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS, _read_jsonl
-from schema_linker.llm import SYSTEM_PROMPTS
+from schema_linker.llm import SYSTEM_PROMPTS, render_sql_gen_prompt
 
+from reference_render import reference_render
 from toy_corpus import CORPUS, DB_ID, ScriptedBackend, build_database, write_corpus
 
 EXPECTED_MODE7_CHOSEN = {
@@ -109,6 +110,17 @@ class TestIngestDataset:
         path.write_text("[]", encoding="utf-8")
         assert ingest_dataset(path, schema_root) == ([], [])
 
+    def test_duplicate_question_id_rejected(self, tmp_path, schema_root):
+        rows = [
+            {"question_id": 1, "db_id": DB_ID, "question": "q1"},
+            {"question_id": 2, "db_id": DB_ID, "question": "q2"},
+            {"question_id": "1", "db_id": "ghost", "question": "q3"},
+        ]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"d\.json\[2\].*'1'.*d\.json\[0\]"):
+            ingest_dataset(path, schema_root)
+
     def test_require_gold_sql(self, tmp_path, schema_root):
         rows = [{"question_id": 1, "db_id": DB_ID, "question": "q"}]
         path = tmp_path / "d.json"
@@ -169,7 +181,7 @@ class TestRunLinking:
         assert "CREATE TABLE customers (" in row["filtered_schema"]
         assert "suppliers" not in row["filtered_schema"]
         assert row["join_path"].startswith("customers, orders")
-        assert "CREATE TABLE suppliers (" in row["full_schema"]
+        assert "full_schema" not in row
         assert row["mode"] == "mode7"
         assert row["sources"] == ["orders", "customers"]
         assert row["destinations"] == ["customers"]
@@ -244,6 +256,36 @@ class TestRunLinking:
         assert outcome.failed == 10
         for row in _read_jsonl(out):
             assert row["error"]["code"] == "CACHE_MISS"
+
+    def test_failed_rows_are_retried_on_resume(
+        self, golden_pipeline, questions, repo, tmp_path
+    ):
+        config = RunConfig(mode="mode7", cache_path=tmp_path / "empty.jsonl", workers=1)
+        out = tmp_path / "out.jsonl"
+        missed = run_linking(
+            questions, config, repo, out, client=replay_client(tmp_path / "empty.jsonl")
+        )
+        assert (missed.completed, missed.skipped, missed.failed) == (0, 0, 10)
+
+        retried = run_linking(
+            questions, config, repo, out, client=replay_client(golden_pipeline.cache_path)
+        )
+        assert (retried.completed, retried.skipped, retried.failed) == (10, 0, 0)
+        again = run_linking(
+            questions, config, repo, out, client=replay_client(golden_pipeline.cache_path)
+        )
+        assert (again.completed, again.skipped, again.failed) == (0, 10, 0)
+
+        # the later successful row wins over the error row before it
+        assert len(_read_jsonl(out)) == 20
+        gen_path = tmp_path / "gen.jsonl"
+        generated = run_generation(
+            out, config, client=replay_client(golden_pipeline.cache_path), out_path=gen_path
+        )
+        assert (generated.completed, generated.skipped, generated.failed) == (10, 0, 0)
+        rows = _read_jsonl(gen_path)
+        assert len(rows) == 10
+        assert all(row["error"] is None and row["predicted_sql"] for row in rows)
 
     def test_unknown_database_becomes_error_row(self, mode_runs, repo, tmp_path):
         run = mode_runs("mode7")
@@ -350,8 +392,33 @@ class TestRunGeneration:
         assert outcome.skipped == 10
         assert outcome.completed == 0
 
+    def test_failed_generations_are_retried_on_resume(self, golden_pipeline, tmp_path):
+        config = golden_pipeline.config
+        out = tmp_path / "gen.jsonl"
+        missed = run_generation(
+            golden_pipeline.link_path,
+            config,
+            client=replay_client(tmp_path / "empty.jsonl"),
+            out_path=out,
+        )
+        assert (missed.completed, missed.skipped, missed.failed) == (0, 0, 10)
+        retried = run_generation(
+            golden_pipeline.link_path,
+            config,
+            client=replay_client(golden_pipeline.cache_path),
+            out_path=out,
+        )
+        assert (retried.completed, retried.skipped, retried.failed) == (10, 0, 0)
+        again = run_generation(
+            golden_pipeline.link_path,
+            config,
+            client=replay_client(golden_pipeline.cache_path),
+            out_path=out,
+        )
+        assert (again.completed, again.skipped, again.failed) == (0, 10, 0)
+
     def test_baseline_uses_full_schema_prompt(
-        self, golden_pipeline, tmp_path
+        self, golden_pipeline, repo, tmp_path
     ):
         backend = ScriptedBackend()
         cache_path = tmp_path / "cache.jsonl"
@@ -370,6 +437,7 @@ class TestRunGeneration:
             config,
             client=client,
             out_path=tmp_path / "base.jsonl",
+            repo=repo,
         )
         assert outcome.failed == 0
         assert all(
@@ -377,6 +445,50 @@ class TestRunGeneration:
             and "CREATE TABLE suppliers (" in r.system_text
             for r in backend.requests
         )
+
+    def test_baseline_prompt_matches_stored_full_schema(
+        self, golden_pipeline, repo, retail_schema, tmp_path
+    ):
+        # Link files used to carry the whole schema text as full_schema, and
+        # baseline prompts were built from it. A file that still carries the
+        # field must give the same requests, so recorded caches replay.
+        full_schema = reference_render(
+            retail_schema, retail_schema.table_names, retail_schema.foreign_keys
+        )
+        old_rows = [
+            dict(row, full_schema=full_schema)
+            for row in _read_jsonl(golden_pipeline.link_path)
+        ]
+        link_path = tmp_path / "old_link.jsonl"
+        link_path.write_text(
+            "".join(json.dumps(row, sort_keys=True) + "\n" for row in old_rows),
+            encoding="utf-8",
+        )
+        backend = ScriptedBackend()
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(
+            cache_path=cache_path, cache_mode="record", baseline=True, workers=1
+        )
+        run_generation(link_path, config, client=client, out_path=tmp_path / "b.jsonl", repo=repo)
+        expected = [
+            render_sql_gen_prompt(
+                row["question"],
+                row["full_schema"],
+                join_path_text=None,
+                evidence=row.get("evidence"),
+                baseline=True,
+                model_name=config.linker_model,
+                temperature=config.temperatures[1],
+            )
+            for row in old_rows
+        ]
+        assert backend.requests == expected
+
+    def test_baseline_needs_the_repository(self, golden_pipeline, tmp_path):
+        config = RunConfig(cache_path=tmp_path / "c.jsonl", baseline=True, workers=1)
+        with pytest.raises(ValueError, match="repo"):
+            run_generation(golden_pipeline.link_path, config)
 
     def test_unusable_reply_is_a_generation_error(
         self, golden_pipeline, tmp_path

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schema_linker import (
@@ -16,6 +18,7 @@ from schema_linker import (
     render_schema,
 )
 
+from reference_render import reference_render, wide_schema
 from sql_fixture_queries import EXTRACTION_FIXTURES, NO_FROM_QUERIES
 
 
@@ -105,6 +108,60 @@ class TestSchemaRendering:
         assert '    "weird""col"' in text
         # plain identifiers stay unquoted even when they collide with keywords
         assert "\n    select\n" in text
+
+    def test_edges_may_be_a_generator(self, retail_schema):
+        # every table block must see its keys, even when the edges can be
+        # iterated only once
+        edges = retail_schema.foreign_keys
+        tables = retail_schema.table_names
+        from_tuple = render_filtered_schema(retail_schema, tables, tuple(edges))
+        from_generator = render_filtered_schema(
+            retail_schema, tables, (fk for fk in edges)
+        )
+        assert from_generator == from_tuple
+        assert from_generator.count("FOREIGN KEY") == len(edges)
+
+    def test_full_render_is_memoised(self, retail_schema):
+        assert render_schema(retail_schema) is render_schema(retail_schema)
+
+
+class TestRenderMatchesReference:
+    """The renderer's bytes key recorded transcripts, so they must not move."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return wide_schema()
+
+    def test_wide_schema_has_the_awkward_shapes(self, wide):
+        assert any(fk.from_table == fk.to_table for fk in wide.foreign_keys)
+        assert any(
+            wide.resolve_table(fk.to_table) != fk.to_table for fk in wide.foreign_keys
+        )
+        text = render_schema(wide)
+        assert 'CREATE TABLE "order line 3" (' in text
+        assert 'REFERENCES "We""ird_5"(' in text
+
+    def test_full_render(self, wide, retail_schema):
+        for schema in (wide, retail_schema):
+            expected = reference_render(schema, schema.table_names, schema.foreign_keys)
+            assert render_schema(schema) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_filtered_render(self, wide, seed):
+        rng = random.Random(seed)
+        chosen = rng.sample(wide.table_names, rng.randint(1, 12))
+        chosen = [name.swapcase() if rng.random() < 0.3 else name for name in chosen]
+        keys = {name.casefold() for name in chosen}
+        induced = [
+            fk
+            for fk in wide.foreign_keys
+            if fk.from_table.casefold() in keys and fk.to_table.casefold() in keys
+        ]
+        rng.shuffle(induced)
+        for edges in (induced, list(wide.foreign_keys)):
+            assert render_filtered_schema(wide, chosen, edges) == reference_render(
+                wide, chosen, edges
+            )
 
 
 def scripted(sources, destinations):
