@@ -31,7 +31,6 @@ from .harness import (
     Question,
     RunConfig,
     RunOutcome,
-    RunStage,
     SchemaRepository,
     extract_sql_reply,
     ingest_dataset,
@@ -51,7 +50,6 @@ from .llm import (
     PromptId,
     TranscriptCache,
     degraded_extraction,
-    estimate_tokens,
     parse_path_select_reply,
     parse_src_dst_reply,
     render_path_select_prompt,

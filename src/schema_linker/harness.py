@@ -4,8 +4,10 @@ evaluation reports, and the mode sweep.
 Run outputs are append-only JSON-lines files keyed by question_id, so an
 interrupted run resumes by skipping questions whose row succeeded; failed
 rows are retried, and the last row for a question_id is the one that
-counts. Reports are regenerated deterministically from run outputs: rows
-are sorted, floats are formatted, and no timestamps are written.
+counts. A torn last line left by a killed run is skipped on read and cut
+off before the next append. Reports are regenerated deterministically from
+run outputs: rows are sorted, floats are formatted, and no timestamps are
+written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .errors import (
     NoSchemasFoundError,
     ParseError,
 )
+from .jsonl import read_jsonl, repair_tail
 from .llm import (
     DEFAULT_MODEL,
     CacheMode,
@@ -38,7 +40,13 @@ from .llm import (
     TranscriptCache,
     render_sql_gen_prompt,
 )
-from .metrics import EvalRecord, aggregate, execution_match, make_eval_record
+from .metrics import (
+    EvalRecord,
+    ReadOnlyConnections,
+    aggregate,
+    execution_match,
+    make_eval_record,
+)
 from .pathfinder import MODE_LABELS, MODE_PRESETS, canonical_mode_name, link, preset
 from .schema_model import (
     Schema,
@@ -56,12 +64,6 @@ from .sql_analysis import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class RunStage(str, Enum):
-    LINK_ONLY = "link_only"
-    LINK_AND_GENERATE = "link_and_generate"
-    EVALUATE = "evaluate"
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class RunConfig:
     temperatures: tuple[float, float] = (0.2, 0.3)
     cache_path: Path | None = None
     cache_mode: str = "replay"
-    run_stage: RunStage = RunStage.LINK_ONLY
     baseline: bool = False
     workers: int = 4
     api_url: str | None = None
@@ -223,18 +224,7 @@ def ingest_dataset(
 
 
 def _read_jsonl(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    rows = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{line_no}: unreadable run output: {exc.msg}") from exc
-    return rows
+    return list(read_jsonl(path, ParseError, "run output"))
 
 
 def _latest_rows(path: Path) -> dict[str, dict]:
@@ -324,6 +314,7 @@ def run_linking(
 
     failed = 0
     write_lock = threading.Lock()
+    repair_tail(out_path)
     with out_path.open("a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
             futures = {pool.submit(work, question): question for question in todo}
@@ -445,6 +436,7 @@ def run_generation(
 
     failed = 0
     write_lock = threading.Lock()
+    repair_tail(out_path)
     with out_path.open("a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
             futures = {pool.submit(work, row): row for row in todo}
@@ -527,12 +519,10 @@ def run_evaluation(
     report_dir.mkdir(parents=True, exist_ok=True)
     rows = _latest_rows(run_output)
 
-    records: list[EvalRecord] = []
     extraction_failures: list[dict] = []
-    gold_execution_failures: list[dict] = []
     missing_rows: list[str] = []
-    ordered = sorted(questions, key=lambda q: _question_sort_key(q.question_id))
-    for question in ordered:
+    scored: list[tuple[Question, frozenset[str], list[str], str | None]] = []
+    for question in sorted(questions, key=lambda q: _question_sort_key(q.question_id)):
         row = rows.get(question.question_id)
         if row is None:
             missing_rows.append(question.question_id)
@@ -545,37 +535,45 @@ def run_evaluation(
                 {"question_id": question.question_id, "reason": str(exc)}
             )
             continue
-        predicted = row.get("chosen_tables") or []
-        exec_flag: bool | None = None
-        predicted_sql = row.get("predicted_sql")
-        if check_execution and predicted_sql:
-            database = repo.database_path(question.db_id)
-            if database is None:
-                gold_execution_failures.append(
-                    {
-                        "question_id": question.question_id,
-                        "reason": f"no SQLite database for {question.db_id!r}",
-                    }
-                )
-            else:
+        scored.append(
+            (question, gold.tables, row.get("chosen_tables") or [], row.get("predicted_sql"))
+        )
+
+    exec_flags: dict[int, bool] = {}
+    exec_failures: dict[int, str] = {}
+    if check_execution:
+        # Grouped by database, so consecutive checks share one connection.
+        by_database = sorted(range(len(scored)), key=lambda i: scored[i][0].db_id)
+        with ReadOnlyConnections() as connections:
+            for i in by_database:
+                question, _, _, predicted_sql = scored[i]
+                if not predicted_sql:
+                    continue
+                database = repo.database_path(question.db_id)
+                if database is None:
+                    exec_failures[i] = f"no SQLite database for {question.db_id!r}"
+                    continue
                 try:
-                    exec_flag = execution_match(
-                        predicted_sql, question.gold_sql, database
+                    exec_flags[i] = execution_match(
+                        predicted_sql, question.gold_sql, database, connections=connections
                     )
                 except GoldExecutionError as exc:
-                    gold_execution_failures.append(
-                        {"question_id": question.question_id, "reason": str(exc)}
-                    )
-        records.append(
-            make_eval_record(
-                question.question_id,
-                gold.tables,
-                predicted,
-                difficulty=question.difficulty,
-                db_id=question.db_id,
-                exec_match=exec_flag,
-            )
+                    exec_failures[i] = str(exc)
+    gold_execution_failures = [
+        {"question_id": scored[i][0].question_id, "reason": exec_failures[i]}
+        for i in sorted(exec_failures)
+    ]
+    records: list[EvalRecord] = [
+        make_eval_record(
+            question.question_id,
+            gold_tables,
+            predicted,
+            difficulty=question.difficulty,
+            db_id=question.db_id,
+            exec_match=exec_flags.get(i),
         )
+        for i, (question, gold_tables, predicted, _) in enumerate(scored)
+    ]
 
     if not records:
         raise EmptyInputError("no evaluable rows; nothing to report")

@@ -31,6 +31,7 @@ from .errors import (
     OutOfRangeError,
     ReplyParseError,
 )
+from .jsonl import read_jsonl, repair_tail
 from .schema_model import Schema
 from .sql_analysis import render_schema
 
@@ -157,11 +158,6 @@ def _fill(template: str, values: dict[str, str]) -> str:
     for key, val in values.items():
         out = out.replace("{" + key + "}", val)
     return out
-
-
-def estimate_tokens(text: str) -> int:
-    """Crude budget estimate: about four characters per token."""
-    return max(1, len(text) // 4)
 
 
 def render_src_dst_prompt(
@@ -374,21 +370,11 @@ class TranscriptCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, str] = {}
-        if self.path.exists():
-            for line_no, line in enumerate(
-                self.path.read_text(encoding="utf-8").splitlines(), start=1
-            ):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CacheMissError(
-                        f"{self.path}:{line_no}: unreadable cache line: {exc.msg}"
-                    ) from exc
-                self._entries[record["digest"]] = record["reply"]
+        self._entries: dict[str, str] = {
+            record["digest"]: record["reply"]
+            for record in read_jsonl(self.path, CacheMissError, "cache line")
+        }
+        self._tail_repaired = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -413,19 +399,15 @@ class TranscriptCache:
                 return
             self._entries[digest] = reply
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._tail_repaired:
+                repair_tail(self.path)
+                self._tail_repaired = True
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n")
 
     def records(self) -> list[dict]:
         """Re-read the backing file; used for inspection and tests."""
-        if not self.path.exists():
-            return []
-        out = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-        return out
+        return list(read_jsonl(self.path, CacheMissError, "cache line"))
 
 
 class HttpCompletionClient:

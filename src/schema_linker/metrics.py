@@ -140,6 +140,61 @@ def aggregate(records: Iterable[EvalRecord]) -> dict:
     }
 
 
+# Authorizer actions that only read. Anything else (a temporary table, a
+# pragma, an attached database, a transaction) may leave state behind on the
+# connection that a later question would see.
+_READ_ONLY_ACTIONS = frozenset(
+    {
+        sqlite3.SQLITE_READ,
+        sqlite3.SQLITE_SELECT,
+        sqlite3.SQLITE_FUNCTION,
+        sqlite3.SQLITE_RECURSIVE,
+    }
+)
+
+
+class ReadOnlyConnections:
+    """Holds at most one read-only connection, to the database used last.
+
+    Reopening a database costs a schema parse on its first statement, so
+    consecutive queries on one database share a connection. An authorizer
+    lets every statement through but marks the connection dirty as soon as
+    one does more than read; a dirty connection, or one to another
+    database, is closed before the next use. Every caller therefore starts
+    on a connection in its freshly opened state.
+    """
+
+    def __init__(self) -> None:
+        self._database: Path | None = None
+        self._connection: sqlite3.Connection | None = None
+        self._dirty = False
+
+    def connect(self, database: Path) -> sqlite3.Connection:
+        if self._connection is not None and (self._dirty or database != self._database):
+            self.close()
+        if self._connection is None:
+            connection = sqlite3.connect(f"file:{database}?mode=ro", uri=True)
+            connection.set_authorizer(self._authorize)
+            self._connection, self._database, self._dirty = connection, database, False
+        return self._connection
+
+    def _authorize(self, action: int, *_args) -> int:
+        if action not in _READ_ONLY_ACTIONS:
+            self._dirty = True
+        return sqlite3.SQLITE_OK
+
+    def close(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = self._database = None
+
+    def __enter__(self) -> "ReadOnlyConnections":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def _run_statement(
     connection: sqlite3.Connection, sql: str, timeout_s: float
 ) -> list[tuple]:
@@ -159,19 +214,22 @@ def execution_match(
     database: str | Path,
     *,
     timeout_s: float = 30.0,
+    connections: ReadOnlyConnections | None = None,
 ) -> bool:
     """Do both queries produce the same multiset of rows?
 
     Row order is ignored. A failing or timed-out predicted query scores
     False; a failing gold query is an error because it invalidates the
-    comparison itself. The database is opened read-only, one connection per
-    call.
+    comparison itself. The database is opened read-only through
+    ``connections``, which keeps the connection for the next call on the
+    same database; without it, the call opens and closes its own.
     """
     database = Path(database)
     if not database.is_file():
         raise FileNotFoundError(f"no such database file: {database}")
-    connection = sqlite3.connect(f"file:{database}?mode=ro", uri=True)
+    holder = ReadOnlyConnections() if connections is None else connections
     try:
+        connection = holder.connect(database)
         try:
             gold_rows = _run_statement(connection, gold_sql, timeout_s)
         except sqlite3.Error as exc:
@@ -182,4 +240,5 @@ def execution_match(
             return False
         return Counter(gold_rows) == Counter(predicted_rows)
     finally:
-        connection.close()
+        if connections is None:
+            holder.close()

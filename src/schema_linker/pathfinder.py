@@ -72,20 +72,15 @@ _MODE_ALIASES = {label: mode for mode, label in MODE_LABELS.items()}
 
 def preset(name: str) -> LinkerConfig:
     """Resolve a mode name ("mode1".."mode7" or a descriptive alias)."""
-    key = name.strip().lower()
-    key = _MODE_ALIASES.get(key, key)
-    config = MODE_PRESETS.get(key)
-    if config is None:
-        known = ", ".join(list(MODE_PRESETS) + sorted(_MODE_ALIASES))
-        raise ValueError(f"unknown mode {name!r} (known: {known})")
-    return config
+    return MODE_PRESETS[canonical_mode_name(name)]
 
 
 def canonical_mode_name(name: str) -> str:
     key = name.strip().lower()
     key = _MODE_ALIASES.get(key, key)
     if key not in MODE_PRESETS:
-        raise ValueError(f"unknown mode {name!r}")
+        known = ", ".join(list(MODE_PRESETS) + sorted(_MODE_ALIASES))
+        raise ValueError(f"unknown mode {name!r} (known: {known})")
     return key
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sqlite3
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,3 +121,34 @@ def golden_pipeline(tmp_path_factory, questions, repo):
         link_outcome=link_outcome,
         gen_outcome=gen_outcome,
     )
+
+
+@pytest.fixture
+def sqlite_connections(monkeypatch):
+    """Log every sqlite3.connect target and how many connections are open.
+
+    ``opened`` lists each target in connect order; ``peak`` is the most
+    connections that were open at once, and ``open`` the number still open.
+    """
+    log = SimpleNamespace(opened=[], open=0, peak=0)
+    real_connect = sqlite3.connect
+
+    class Tracked(sqlite3.Connection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._tracked_open = True
+            log.opened.append(str(args[0]))
+            log.open += 1
+            log.peak = max(log.peak, log.open)
+
+        def close(self):
+            if self._tracked_open:
+                self._tracked_open = False
+                log.open -= 1
+            super().close()
+
+    def connect(*args, **kwargs):
+        return real_connect(*args, factory=Tracked, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", connect)
+    return log

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -544,6 +545,119 @@ class TestRunGeneration:
             run_generation(empty, golden_pipeline.config)
 
 
+def torn(lines: list[str], keep: int) -> str:
+    """The first ``keep`` lines plus half of the next, as a killed run leaves them."""
+    return "".join(lines[:keep]) + lines[keep][: len(lines[keep]) // 2]
+
+
+def assert_reads_cleanly(path, rows: int, caplog) -> None:
+    caplog.clear()
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    assert len(lines) == rows
+    assert all(line.endswith("\n") and json.loads(line) for line in lines)
+    assert len(_read_jsonl(path)) == rows
+    assert "torn" not in caplog.text
+
+
+class TestTornLastLine:
+    def test_torn_row_is_skipped_with_a_warning(self, mode_runs, tmp_path, caplog):
+        lines = mode_runs("mode7").link_path.read_text(encoding="utf-8").splitlines(True)
+        path = tmp_path / "link.jsonl"
+        path.write_text(torn(lines, 3), encoding="utf-8")
+        assert [row["question_id"] for row in _read_jsonl(path)] == [
+            json.loads(line)["question_id"] for line in lines[:3]
+        ]
+        assert "torn final line" in caplog.text
+
+    def test_corrupt_middle_line_still_fails(self, mode_runs, tmp_path):
+        lines = mode_runs("mode7").link_path.read_text(encoding="utf-8").splitlines(True)
+        path = tmp_path / "link.jsonl"
+        path.write_text(
+            "".join(lines[:2]) + '{"question_id": \n' + "".join(lines[2:4]), encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match=":3: unreadable run output"):
+            _read_jsonl(path)
+
+    def test_linking_resumes_after_a_torn_row(
+        self, mode_runs, questions, repo, tmp_path, caplog
+    ):
+        run = mode_runs("mode7")
+        lines = run.link_path.read_text(encoding="utf-8").splitlines(True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(torn(lines, 3), encoding="utf-8")
+        config = RunConfig(mode="mode7", cache_path=run.cache_path, workers=1)
+        outcome = run_linking(
+            questions, config, repo, partial, client=replay_client(run.cache_path)
+        )
+        assert (outcome.completed, outcome.skipped, outcome.failed) == (7, 3, 0)
+        assert_reads_cleanly(partial, 10, caplog)
+
+    def test_complete_row_without_newline_is_kept(
+        self, mode_runs, questions, repo, tmp_path, caplog
+    ):
+        run = mode_runs("mode7")
+        lines = run.link_path.read_text(encoding="utf-8").splitlines(True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("".join(lines[:4]).rstrip("\n"), encoding="utf-8")
+        config = RunConfig(mode="mode7", cache_path=run.cache_path, workers=1)
+        outcome = run_linking(
+            questions, config, repo, partial, client=replay_client(run.cache_path)
+        )
+        assert (outcome.completed, outcome.skipped, outcome.failed) == (6, 4, 0)
+        assert_reads_cleanly(partial, 10, caplog)
+
+    def test_generation_and_evaluation_after_a_torn_row(
+        self, golden_pipeline, questions, repo, tmp_path, caplog
+    ):
+        lines = golden_pipeline.gen_path.read_text(encoding="utf-8").splitlines(True)
+        partial = tmp_path / "gen.jsonl"
+        partial.write_text(torn(lines, 5), encoding="utf-8")
+        report = run_evaluation(
+            partial, questions, repo, check_execution=True, report_dir=tmp_path / "r"
+        )
+        assert report.summary["missing_rows"]["count"] == 5
+        outcome = run_generation(
+            golden_pipeline.link_path,
+            golden_pipeline.config,
+            client=replay_client(golden_pipeline.cache_path),
+            out_path=partial,
+        )
+        assert (outcome.completed, outcome.skipped, outcome.failed) == (5, 5, 0)
+        assert_reads_cleanly(partial, 10, caplog)
+
+    def test_recording_and_replay_after_a_torn_cache_entry(
+        self, mode_runs, questions, repo, tmp_path, caplog
+    ):
+        run = mode_runs("mode7")
+        lines = run.cache_path.read_text(encoding="utf-8").splitlines(True)
+        cache_path = tmp_path / "cache.jsonl"
+        cache_path.write_text(torn(lines, len(lines) - 1), encoding="utf-8")
+        config = RunConfig(mode="mode7", cache_path=cache_path, workers=1)
+        backend = ScriptedBackend()
+        recorded = run_linking(
+            questions,
+            config,
+            repo,
+            tmp_path / "recorded.jsonl",
+            client=CachingClient(TranscriptCache(cache_path), backend=backend, mode="record"),
+        )
+        assert (recorded.completed, recorded.failed) == (10, 0)
+        assert len(backend.requests) == 1  # only the torn entry is asked again
+        caplog.clear()
+        cache_lines = cache_path.read_text(encoding="utf-8").splitlines(True)
+        assert len(cache_lines) == len(lines)
+        assert all(line.endswith("\n") and json.loads(line) for line in cache_lines)
+        replayed = run_linking(
+            questions,
+            config,
+            repo,
+            tmp_path / "replayed.jsonl",
+            client=replay_client(cache_path),
+        )
+        assert (replayed.completed, replayed.failed) == (10, 0)
+        assert "torn" not in caplog.text
+
+
 class TestRunEvaluation:
     def test_schema_level_summary(self, golden_pipeline, questions, repo, tmp_path):
         report = run_evaluation(
@@ -689,6 +803,111 @@ class TestRunEvaluation:
             run_evaluation(
                 golden_pipeline.link_path, [], repo, report_dir=tmp_path
             )
+
+
+class TestEvaluationAcrossDatabases:
+    """Execution checks run grouped by database; reports keep question order."""
+
+    DATABASES = ["shop_a", "shop_b", "shop_c"]
+    EXTRACTION_FAILURES = ["2", "3"]  # on shop_c, then shop_a
+    GOLD_FAILURES = ["5", "6"]  # on shop_c, then shop_a
+    WRONG_PREDICTION = "7"
+
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        schema_root = tmp_path / "schemas"
+        for db_id in self.DATABASES:
+            build_database(schema_root / db_id / f"{db_id}.sqlite")
+        questions, rows = [], []
+        for i in range(1, 13):
+            source = CORPUS[i % len(CORPUS)]
+            question_id = str(i)
+            gold_sql = source["SQL"]
+            if question_id in self.EXTRACTION_FAILURES:
+                gold_sql = "SELECT 1"
+            elif question_id in self.GOLD_FAILURES:
+                gold_sql = "SELECT ghost_column FROM customers"
+            predicted_sql = "SELECT 0" if question_id == self.WRONG_PREDICTION else source["SQL"]
+            questions.append(
+                Question(
+                    question_id=question_id,
+                    db_id=self.DATABASES[i % len(self.DATABASES)],
+                    text=source["question"],
+                    gold_sql=gold_sql,
+                )
+            )
+            rows.append(
+                {
+                    "question_id": question_id,
+                    "chosen_tables": sorted(source["gold_tables"]),
+                    "predicted_sql": predicted_sql,
+                }
+            )
+        run_output = tmp_path / "gen.jsonl"
+        run_output.write_text(
+            "".join(json.dumps(row) + "\n" for row in reversed(rows)), encoding="utf-8"
+        )
+        return SimpleNamespace(
+            schema_root=schema_root, questions=questions, run_output=run_output
+        )
+
+    def evaluate(self, interleaved, repo, report_dir):
+        return run_evaluation(
+            interleaved.run_output,
+            interleaved.questions,
+            repo,
+            check_execution=True,
+            report_dir=report_dir,
+        )
+
+    def test_failures_are_listed_in_question_order(self, interleaved, tmp_path):
+        report = self.evaluate(
+            interleaved, SchemaRepository(interleaved.schema_root), tmp_path / "r"
+        )
+        summary = report.summary
+        assert [
+            row["question_id"] for row in summary["extraction_failures"]["rows"]
+        ] == self.EXTRACTION_FAILURES
+        assert [
+            row["question_id"] for row in summary["gold_execution_failures"]["rows"]
+        ] == self.GOLD_FAILURES
+        lines = report.per_question_path.read_text(encoding="utf-8").splitlines()[1:]
+        cells = [line.split(",") for line in lines]
+        assert [cell[0] for cell in cells] == [
+            str(i) for i in range(1, 13) if str(i) not in self.EXTRACTION_FAILURES
+        ]
+        for cell in cells:
+            assert cell[1] == self.DATABASES[int(cell[0]) % len(self.DATABASES)]
+            expected = (
+                ""
+                if cell[0] in self.GOLD_FAILURES
+                else str(cell[0] != self.WRONG_PREDICTION).lower()
+            )
+            assert cell[10] == expected, cell
+        assert summary["overall"]["execution_count"] == 8
+
+    def test_each_database_is_opened_once(
+        self, interleaved, tmp_path, sqlite_connections
+    ):
+        repo = SchemaRepository(interleaved.schema_root)
+        for db_id in self.DATABASES:
+            repo.schema(db_id)
+        sqlite_connections.opened.clear()
+        self.evaluate(interleaved, repo, tmp_path / "r")
+        assert sorted(sqlite_connections.opened) == sorted(
+            f"file:{repo.database_path(db_id)}?mode=ro" for db_id in self.DATABASES
+        )
+        assert sqlite_connections.open == 0
+
+    def test_at_most_one_connection_is_open(
+        self, interleaved, tmp_path, sqlite_connections
+    ):
+        self.evaluate(
+            interleaved, SchemaRepository(interleaved.schema_root), tmp_path / "r"
+        )
+        assert len(sqlite_connections.opened) == 6  # a schema load and a check per database
+        assert sqlite_connections.peak == 1
+        assert sqlite_connections.open == 0
 
 
 class TestRunSweep:

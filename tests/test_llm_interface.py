@@ -15,7 +15,6 @@ from schema_linker import (
     ReplyParseError,
     TranscriptCache,
     degraded_extraction,
-    estimate_tokens,
     parse_path_select_reply,
     parse_src_dst_reply,
     render_path_select_prompt,
@@ -120,10 +119,6 @@ class TestPromptRendering:
         # str.format would raise on stray braces in schema text
         request = render_sql_gen_prompt("q", 'CREATE TABLE "{weird}" (x);')
         assert '"{weird}"' in request.system_text
-
-    def test_estimate_tokens(self):
-        assert estimate_tokens("abcdefgh") == 2
-        assert estimate_tokens("") == 1
 
 
 class TestSrcDstParsing:
@@ -269,6 +264,48 @@ class TestTranscriptCache:
         path.write_text('{"digest": "x", "reply": "y"}\nnot json\n', encoding="utf-8")
         with pytest.raises(CacheMissError):
             TranscriptCache(path)
+
+
+    def test_corrupt_middle_line_fails_load(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(
+            'not json\n{"digest": "x", "reply": "y"}\n', encoding="utf-8"
+        )
+        with pytest.raises(CacheMissError, match=":1: unreadable cache line"):
+            TranscriptCache(path)
+
+    def test_torn_last_line_is_skipped_then_cut_before_the_next_put(
+        self, tmp_path, caplog
+    ):
+        path = tmp_path / "cache.jsonl"
+        cache = TranscriptCache(path)
+        kept, lost, later = req(user="kept"), req(user="lost"), req(user="later")
+        cache.put(kept, "one")
+        cache.put(lost, "two")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) - 20], encoding="utf-8")
+
+        reopened = TranscriptCache(path)
+        assert "torn final line" in caplog.text
+        assert len(reopened) == 1
+        assert reopened.get(request_digest(kept)) == "one"
+        assert reopened.get(request_digest(lost)) is None
+
+        reopened.put(later, "three")
+        caplog.clear()
+        assert [r["reply"] for r in TranscriptCache(path).records()] == ["one", "three"]
+        assert "torn" not in caplog.text
+
+    def test_complete_last_line_without_newline_gets_one(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        TranscriptCache(path).put(req(user="first"), "one")
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        reopened = TranscriptCache(path)
+        assert len(reopened) == 1
+        reopened.put(req(user="second"), "two")
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        assert [json.loads(line)["reply"] for line in lines] == ["one", "two"]
+        assert all(line.endswith("\n") for line in lines)
 
 
 class CountingBackend:

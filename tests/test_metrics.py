@@ -14,6 +14,7 @@ from schema_linker import (
     make_eval_record,
     schema_metrics,
 )
+from schema_linker.metrics import ReadOnlyConnections
 
 
 class TestFbeta:
@@ -224,3 +225,69 @@ class TestExecutionMatch:
         )
         with pytest.raises(GoldExecutionError):
             execution_match("SELECT 1", bomb, toy_db, timeout_s=0.05)
+
+
+class TestReadOnlyConnections:
+    # Each case: a predicted statement that leaves state on the connection,
+    # then a pair whose result that state would change.
+    LEAKS = [
+        ("CREATE TEMP TABLE t AS SELECT 99 AS x", ("SELECT 4", "SELECT COUNT(*) FROM t")),
+        (
+            "PRAGMA case_sensitive_like=1",
+            ("SELECT 3", "SELECT COUNT(*) FROM t WHERE y LIKE 'B' OR y LIKE 'C'"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("leak, follow_up", LEAKS)
+    def test_state_left_by_one_question_does_not_reach_the_next(
+        self, toy_db, leak, follow_up
+    ):
+        fresh = execution_match(*follow_up, toy_db)
+        assert fresh
+        with ReadOnlyConnections() as connections:
+            execution_match(leak, "SELECT x FROM t", toy_db, connections=connections)
+            assert execution_match(*follow_up, toy_db, connections=connections) == fresh
+
+    def test_reads_share_one_connection(self, toy_db, sqlite_connections):
+        with ReadOnlyConnections() as connections:
+            for _ in range(3):
+                assert execution_match(
+                    "SELECT x FROM t", "SELECT x FROM t", toy_db, connections=connections
+                )
+            assert not execution_match(
+                "SELECT nope FROM t", "SELECT x FROM t", toy_db, connections=connections
+            )
+        assert len(sqlite_connections.opened) == 1
+        assert sqlite_connections.open == 0
+
+    def test_dirty_connection_is_reopened(self, toy_db, sqlite_connections):
+        with ReadOnlyConnections() as connections:
+            execution_match("DELETE FROM t", "SELECT x FROM t", toy_db, connections=connections)
+            assert execution_match(
+                "SELECT COUNT(*) FROM t", "SELECT 4", toy_db, connections=connections
+            )
+        assert len(sqlite_connections.opened) == 2
+        assert sqlite_connections.peak == 1
+
+    def test_another_database_closes_the_last(self, toy_db, tmp_path, sqlite_connections):
+        other = tmp_path / "other.sqlite"
+        con = sqlite3.connect(other)
+        con.execute("CREATE TABLE t (x INTEGER)")
+        con.close()
+        sqlite_connections.opened.clear()
+        with ReadOnlyConnections() as connections:
+            for database in (toy_db, other, toy_db):
+                execution_match("SELECT 1", "SELECT 1", database, connections=connections)
+        assert sqlite_connections.opened == [
+            f"file:{database}?mode=ro" for database in (toy_db, other, toy_db)
+        ]
+        assert sqlite_connections.peak == 1
+        assert sqlite_connections.open == 0
+
+    def test_without_a_holder_each_call_closes_its_connection(
+        self, toy_db, sqlite_connections
+    ):
+        execution_match("SELECT x FROM t", "SELECT x FROM t", toy_db)
+        execution_match("SELECT x FROM t", "SELECT x FROM t", toy_db)
+        assert len(sqlite_connections.opened) == 2
+        assert sqlite_connections.open == 0
