@@ -43,6 +43,16 @@ def _echo_diagnostics(diagnostics: list[str]) -> None:
         click.echo(f"note: {line}", err=True)
 
 
+workers_option = click.option(
+    "--workers",
+    default=4,
+    show_default=True,
+    type=int,
+    help="Questions run at once on threads with --record. Replay runs one "
+    "question at a time on the calling thread. Rows are written in question order.",
+)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="schema-linker")
 def main() -> None:
@@ -69,14 +79,14 @@ def main() -> None:
     help="Replay answers from the cache, or record novel ones from the live backend.",
 )
 @click.option("--model", default=DEFAULT_MODEL, show_default=True)
-@click.option("--temperature", default=0.2, show_default=True, type=float)
-@click.option("--workers", default=4, show_default=True, type=int)
+@click.option("--temperature", default=RunConfig.link_temperature, show_default=True, type=float)
+@workers_option
 def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temperature, workers):
     """Pick the relevant tables for every question in a dataset."""
     config = RunConfig(
         mode=mode,
         linker_model=model,
-        temperatures=(temperature, 0.3),
+        link_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",
         workers=workers,
@@ -101,7 +111,7 @@ def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temper
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--replay/--record", "replay", default=True, show_default=True)
 @click.option("--model", default=DEFAULT_MODEL, show_default=True)
-@click.option("--temperature", default=0.3, show_default=True, type=float)
+@click.option("--temperature", default=RunConfig.generate_temperature, show_default=True, type=float)
 @click.option(
     "--baseline",
     is_flag=True,
@@ -115,7 +125,7 @@ def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temper
     type=click.Path(file_okay=False, path_type=Path),
     help="Directory holding one subdirectory per database; required with --baseline.",
 )
-@click.option("--workers", default=4, show_default=True, type=int)
+@workers_option
 def generate(
     link_output, out_path, cache_path, replay, model, temperature, baseline, schema_root, workers
 ):
@@ -124,7 +134,7 @@ def generate(
         _fatal("--baseline needs --schemas to render the full schema")
     config = RunConfig(
         generator_model=model,
-        temperatures=(0.2, temperature),
+        generate_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",
         baseline=baseline,
@@ -199,8 +209,8 @@ def evaluate(run_output, dataset, schema_root, check_execution, report_dir):
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--replay/--record", "replay", default=True, show_default=True)
 @click.option("--model", default=DEFAULT_MODEL, show_default=True)
-@click.option("--temperature", default=0.2, show_default=True, type=float)
-@click.option("--workers", default=4, show_default=True, type=int)
+@click.option("--temperature", default=RunConfig.link_temperature, show_default=True, type=float)
+@workers_option
 def sweep(dataset, schema_root, modes, out_dir, cache_path, replay, model, temperature, workers):
     """Compare schema metrics across selection modes on one dataset."""
     if modes.strip().lower() == "all":
@@ -209,7 +219,7 @@ def sweep(dataset, schema_root, modes, out_dir, cache_path, replay, model, tempe
         mode_names = [_mode_choice(part) for part in modes.split(",") if part.strip()]
     config = RunConfig(
         linker_model=model,
-        temperatures=(temperature, 0.3),
+        link_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",
         workers=workers,

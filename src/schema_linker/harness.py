@@ -17,10 +17,9 @@ import json
 import logging
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     EmptyInputError,
@@ -29,14 +28,16 @@ from .errors import (
     NoSchemasFoundError,
     ParseError,
 )
-from .jsonl import read_jsonl, repair_tail
+from .jsonl import append_rows, read_jsonl
 from .llm import (
     DEFAULT_MODEL,
+    DEFAULT_TEMPERATURES,
     CacheMode,
     CachingClient,
     HttpCompletionClient,
     LlmEndpointOracle,
     LlmPathOracle,
+    PromptId,
     TranscriptCache,
     render_sql_gen_prompt,
 )
@@ -81,11 +82,12 @@ class RunConfig:
     mode: str = "mode7"
     linker_model: str = DEFAULT_MODEL
     generator_model: str | None = None
-    temperatures: tuple[float, float] = (0.2, 0.3)
+    link_temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST]
+    generate_temperature: float = DEFAULT_TEMPERATURES[PromptId.SQL_GEN_LINKED]
     cache_path: Path | None = None
     cache_mode: str = "replay"
     baseline: bool = False
-    workers: int = 4
+    workers: int = 4  # threads for record mode; replay runs on the calling thread
     api_url: str | None = None
     api_key: str | None = None
 
@@ -223,13 +225,9 @@ def ingest_dataset(
     return questions, diagnostics
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    return list(read_jsonl(path, ParseError, "run output"))
-
-
 def _latest_rows(path: Path) -> dict[str, dict]:
     """The last row per question_id in a run output, in first-seen order."""
-    return {row["question_id"]: row for row in _read_jsonl(path)}
+    return {row["question_id"]: row for row in read_jsonl(path, ParseError, "run output")}
 
 
 @dataclass(frozen=True)
@@ -244,6 +242,38 @@ def _error_payload(exc: Exception) -> dict:
     return {"code": getattr(exc, "code", "ERROR"), "message": str(exc)}
 
 
+Item = TypeVar("Item")
+
+
+def _run_rows(
+    items: dict[str, Item],
+    out_path: Path,
+    work: Callable[[Item], dict],
+    on_error: Callable[[Item, Exception], dict],
+    error_field: str,
+    client: CachingClient,
+    config: RunConfig,
+) -> RunOutcome:
+    """Append a row for each item, keyed by question_id, not yet done in out_path.
+
+    An item is done when its latest row has ``error_field`` None. Replay
+    runs on the calling thread, since it is pure computation under the
+    interpreter lock; record mode runs ``config.workers`` threads.
+    """
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    latest = _latest_rows(out_path)
+    done = {question_id for question_id, row in latest.items() if row.get(error_field) is None}
+    todo = [item for question_id, item in items.items() if question_id not in done]
+    workers = 1 if client.mode is CacheMode.REPLAY else max(1, config.workers)
+    failed = append_rows(out_path, todo, work, on_error, error_field, workers)
+    return RunOutcome(
+        path=out_path,
+        completed=len(todo) - failed,
+        skipped=len(items) - len(todo),
+        failed=failed,
+    )
+
+
 def run_linking(
     questions: Sequence[Question],
     config: RunConfig,
@@ -255,25 +285,34 @@ def run_linking(
 
     Questions whose latest row in out_path succeeded are skipped, which
     makes an interrupted run resumable. Per-question failures are recorded
-    inline, do not stop the run, and are retried by the next run.
+    inline, do not stop the run, and are retried by the next run. A row
+    carries the backend token usage its own requests reported.
     """
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else config.build_client()
-    link_temperature = config.temperatures[0]
-    endpoint_oracle = LlmEndpointOracle(client, config.linker_model, link_temperature)
-    path_oracle = LlmPathOracle(client, config.linker_model, link_temperature)
+    endpoint_oracle = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
+    path_oracle = LlmPathOracle(client, config.linker_model, config.link_temperature)
     mode_name = canonical_mode_name(config.mode)
     mode = preset(mode_name)
 
-    done = {
-        question_id
-        for question_id, row in _latest_rows(out_path).items()
-        if row.get("error") is None
-    }
-    todo = [q for q in questions if q.question_id not in done]
+    def question_fields(question: Question) -> dict:
+        return {
+            "question_id": question.question_id,
+            "db_id": question.db_id,
+            "question": question.text,
+            "evidence": question.evidence,
+            "difficulty": question.difficulty,
+            "mode": mode_name,
+        }
+
+    def with_usage(row: dict) -> dict:
+        # Usage is counted per thread, and this row's requests ran on this one.
+        usage = client.pop_usage()
+        if usage:
+            row["token_usage"] = usage
+        return row
 
     def work(question: Question) -> dict:
+        client.pop_usage()  # drop what anything before this row left behind
         schema = repo.schema(question.db_id)
         graph = repo.graph(question.db_id)
         result = link(
@@ -286,12 +325,7 @@ def run_linking(
             evidence=question.evidence,
         )
         row = {
-            "question_id": question.question_id,
-            "db_id": question.db_id,
-            "question": question.text,
-            "evidence": question.evidence,
-            "difficulty": question.difficulty,
-            "mode": mode_name,
+            **question_fields(question),
             "sources": list(result.sources),
             "destinations": list(result.destinations),
             "paths": [list(path.tables) for path in result.candidates.paths],
@@ -307,42 +341,14 @@ def run_linking(
             "join_path": render_join_path(result),
             "error": None,
         }
-        usage = client.pop_usage()
-        if usage:
-            row["token_usage"] = usage
-        return row
+        return with_usage(row)
 
-    failed = 0
-    write_lock = threading.Lock()
-    repair_tail(out_path)
-    with out_path.open("a", encoding="utf-8") as sink:
-        with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-            futures = {pool.submit(work, question): question for question in todo}
-            for future in as_completed(futures):
-                question = futures[future]
-                try:
-                    row = future.result()
-                except Exception as exc:  # recorded inline; the run continues
-                    failed += 1
-                    log.warning("question %s failed: %s", question.question_id, exc)
-                    row = {
-                        "question_id": question.question_id,
-                        "db_id": question.db_id,
-                        "question": question.text,
-                        "evidence": question.evidence,
-                        "difficulty": question.difficulty,
-                        "mode": mode_name,
-                        "error": _error_payload(exc),
-                    }
-                with write_lock:
-                    sink.write(json.dumps(row, ensure_ascii=True, sort_keys=True) + "\n")
-                    sink.flush()
-    return RunOutcome(
-        path=out_path,
-        completed=len(todo) - failed,
-        skipped=len(questions) - len(todo),
-        failed=failed,
-    )
+    def error_row(question: Question, exc: Exception) -> dict:
+        log.warning("question %s failed: %s", question.question_id, exc)
+        return with_usage({**question_fields(question), "error": _error_payload(exc)})
+
+    items = {question.question_id: question for question in questions}
+    return _run_rows(items, Path(out_path), work, error_row, "error", client, config)
 
 
 _SQL_FENCE_RE = re.compile(r"```(?:sql)?[ \t]*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -384,83 +390,41 @@ def run_generation(
     if config.baseline and repo is None:
         raise ValueError("baseline generation needs repo= to render the full schema")
     link_output = Path(link_output)
-    rows = list(_latest_rows(link_output).values())
+    rows = _latest_rows(link_output)
     if not rows:
         raise EmptyInputError(f"no rows in {link_output}")
     if out_path is None:
         out_path = link_output.with_name(link_output.stem + "_generated.jsonl")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else config.build_client()
     generator_model = config.generator_model or config.linker_model
-    generation_temperature = config.temperatures[1]
-
-    done = {
-        question_id
-        for question_id, row in _latest_rows(out_path).items()
-        if row.get("generation_error") is None
-    }
-    todo = [row for row in rows if row["question_id"] not in done]
 
     def work(row: dict) -> dict:
-        out = dict(row)
-        if row.get("error"):
-            out["predicted_sql"] = None
-            out["generation_error"] = {
-                "code": "GENERATION_FAILED",
-                "message": "linking failed upstream",
-            }
-            return out
-        if config.baseline:
-            schema_text = render_schema(repo.schema(row["db_id"]))
-        else:
-            schema_text = row["filtered_schema"]
-        request = render_sql_gen_prompt(
-            row["question"],
-            schema_text,
-            join_path_text=None if config.baseline else row["join_path"],
-            evidence=row.get("evidence"),
-            baseline=config.baseline,
-            model_name=generator_model,
-            temperature=generation_temperature,
-        )
-        reply = client.complete(request)
-        sql = extract_sql_reply(reply)
-        out["predicted_sql"] = sql
-        out["generation_error"] = (
-            None
-            if sql
-            else {"code": "GENERATION_FAILED", "message": "no SQL found in reply"}
-        )
-        return out
+        sql, problem = None, "linking failed upstream"
+        if not row.get("error"):
+            if config.baseline:
+                schema_text = render_schema(repo.schema(row["db_id"]))
+            else:
+                schema_text = row["filtered_schema"]
+            request = render_sql_gen_prompt(
+                row["question"],
+                schema_text,
+                join_path_text=None if config.baseline else row["join_path"],
+                evidence=row.get("evidence"),
+                baseline=config.baseline,
+                model_name=generator_model,
+                temperature=config.generate_temperature,
+            )
+            sql = extract_sql_reply(client.complete(request))
+            problem = "no SQL found in reply"
+        failure = None if sql else {"code": "GENERATION_FAILED", "message": problem}
+        return {**row, "predicted_sql": sql, "generation_error": failure}
 
-    failed = 0
-    write_lock = threading.Lock()
-    repair_tail(out_path)
-    with out_path.open("a", encoding="utf-8") as sink:
-        with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-            futures = {pool.submit(work, row): row for row in todo}
-            for future in as_completed(futures):
-                source_row = futures[future]
-                try:
-                    row = future.result()
-                except Exception as exc:
-                    log.warning(
-                        "generation for %s failed: %s", source_row["question_id"], exc
-                    )
-                    row = dict(source_row)
-                    row["predicted_sql"] = None
-                    row["generation_error"] = _error_payload(exc)
-                if row.get("generation_error"):
-                    failed += 1
-                with write_lock:
-                    sink.write(json.dumps(row, ensure_ascii=True, sort_keys=True) + "\n")
-                    sink.flush()
-    return RunOutcome(
-        path=out_path,
-        completed=len(todo) - failed,
-        skipped=len(rows) - len(todo),
-        failed=failed,
+    def error_row(row: dict, exc: Exception) -> dict:
+        log.warning("generation for %s failed: %s", row["question_id"], exc)
+        return {**row, "predicted_sql": None, "generation_error": _error_payload(exc)}
+
+    return _run_rows(
+        rows, Path(out_path), work, error_row, "generation_error", client, config
     )
 
 
@@ -653,18 +617,8 @@ def run_sweep(
             report_dir=out_dir / mode_name,
         )
         overall = report.summary["overall"]
-        grid_rows.append(
-            {
-                "mode": mode_name,
-                "label": MODE_LABELS[mode_name],
-                "count": overall["count"],
-                "exact_match_rate": overall["exact_match_rate"],
-                "precision": overall["precision"],
-                "recall": overall["recall"],
-                "f1": overall["f1"],
-                "f6": overall["f6"],
-            }
-        )
+        scores = {column: overall[column] for column in GRID_COLUMNS[2:]}
+        grid_rows.append({"mode": mode_name, "label": MODE_LABELS[mode_name], **scores})
 
     grid_json = out_dir / "grid.json"
     grid_json.write_text(
@@ -675,16 +629,6 @@ def run_sweep(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(GRID_COLUMNS)
         for row in grid_rows:
-            writer.writerow(
-                [
-                    row["mode"],
-                    row["label"],
-                    row["count"],
-                    _format_float(row["exact_match_rate"]),
-                    _format_float(row["precision"]),
-                    _format_float(row["recall"]),
-                    _format_float(row["f1"]),
-                    _format_float(row["f6"]),
-                ]
-            )
+            rates = [_format_float(row[column]) for column in GRID_COLUMNS[3:]]
+            writer.writerow([row["mode"], row["label"], row["count"], *rates])
     return {"grid_csv": grid_csv, "grid_json": grid_json, "rows": grid_rows}

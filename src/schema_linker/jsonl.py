@@ -3,19 +3,24 @@
 A run killed while writing can leave its last line half written, with no
 trailing newline. Readers skip such a line with a warning, and writers cut
 the file back to its last complete line before they append. An unreadable
-line anywhere else is corruption and still fails the read.
+line anywhere else is corruption and still fails the read. ``append_rows``
+is the one writer of run outputs.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import LinkerError
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 def read_jsonl(path: Path, error: type[LinkerError], what: str) -> Iterator[dict]:
@@ -73,3 +78,36 @@ def repair_tail(path: Path) -> None:
             handle.truncate(start)
         else:
             handle.write(b"\n")
+
+
+def append_rows(
+    path: Path,
+    items: Sequence[T],
+    work: Callable[[T], dict],
+    on_error: Callable[[T, Exception], dict],
+    error_field: str,
+    workers: int = 1,
+) -> int:
+    """Append one row per item to path, in item order; return the failures.
+
+    Each row is ``work(item)``, or ``on_error(item, exc)`` run on the same
+    thread when work raises. A failure is a row whose ``error_field`` is
+    set. One worker runs every item on the calling thread; more run them
+    on that many threads. Each row is flushed as soon as it is written.
+    """
+
+    def row_for(item: T) -> dict:
+        try:
+            return work(item)
+        except Exception as exc:  # recorded inline; the run continues
+            return on_error(item, exc)
+
+    repair_tail(path)
+    failed = 0
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with path.open("a", encoding="utf-8") as sink, pool:
+        for row in pool.map(row_for, items) if workers > 1 else map(row_for, items):
+            failed += row.get(error_field) is not None
+            sink.write(json.dumps(row, ensure_ascii=True, sort_keys=True) + "\n")
+            sink.flush()
+    return failed

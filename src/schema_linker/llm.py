@@ -415,7 +415,8 @@ class HttpCompletionClient:
 
     Network and 5xx failures are retried with exponential backoff; other
     HTTP errors fail immediately. Token usage reported by the backend is
-    accumulated and can be drained with pop_usage().
+    accumulated per calling thread, and pop_usage() drains the calling
+    thread's total, so concurrent rows never see each other's tokens.
     """
 
     def __init__(
@@ -434,8 +435,7 @@ class HttpCompletionClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self._lock = threading.Lock()
-        self._usage: dict[str, int] = {}
+        self._usage = threading.local()  # its attributes are one thread's totals
 
     def complete(self, request: CompletionRequest) -> str:
         body = {
@@ -477,19 +477,19 @@ class HttpCompletionClient:
                 raise BackendError("completion content is not text")
             usage = data.get("usage")
             if isinstance(usage, dict):
-                with self._lock:
-                    for key, val in usage.items():
-                        if isinstance(val, int):
-                            self._usage[key] = self._usage.get(key, 0) + val
+                totals = vars(self._usage)
+                for key, val in usage.items():
+                    if isinstance(val, int):
+                        totals[key] = totals.get(key, 0) + val
             return text
         raise BackendError(
             f"backend unreachable after {self.max_attempts} attempts: {last_error}"
         )
 
     def pop_usage(self) -> dict[str, int]:
-        with self._lock:
-            usage, self._usage = self._usage, {}
-            return usage
+        usage = dict(vars(self._usage))
+        vars(self._usage).clear()
+        return usage
 
 
 class CacheMode(str, Enum):

@@ -23,7 +23,7 @@ from .errors import (
     ReplyParseError,
     UnknownTableError,
 )
-from .schema_model import FkProvenance, ForeignKeyEdge, Schema, SchemaGraph
+from .schema_model import FkProvenance, ForeignKeyEdge, Schema, SchemaGraph, join_condition
 
 
 class EndpointKeep(str, Enum):
@@ -290,10 +290,7 @@ def render_path(path: JoinPath, graph: SchemaGraph | None = None) -> str:
         edge = graph.edge_between(a, b)
         if edge is None:
             continue
-        conditions.extend(
-            f"{fk.from_table}.{fk.from_column} = {fk.to_table}.{fk.to_column}"
-            for fk in edge.justifications
-        )
+        conditions.extend(join_condition(fk) for fk in edge.justifications)
     if conditions:
         return f"{arrow} (join: {', '.join(conditions)})"
     return arrow

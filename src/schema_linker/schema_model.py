@@ -92,6 +92,11 @@ class ForeignKeyEdge:
     provenance: FkProvenance = FkProvenance.DECLARED_FK
 
 
+def join_condition(fk: ForeignKeyEdge) -> str:
+    """The key as a join condition, "A.x = B.y"; prompts embed this text."""
+    return f"{fk.from_table}.{fk.from_column} = {fk.to_table}.{fk.to_column}"
+
+
 @dataclass(frozen=True)
 class Schema:
     database_id: str

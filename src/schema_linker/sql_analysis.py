@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ParseError, UnknownTableError
-from .schema_model import ForeignKeyEdge, Schema
+from .schema_model import ForeignKeyEdge, Schema, join_condition
 
 if TYPE_CHECKING:
     from .pathfinder import LinkResult
@@ -327,10 +327,6 @@ def render_schema(schema: Schema) -> str:
     return schema.rendered
 
 
-def _condition(fk: ForeignKeyEdge) -> str:
-    return f"{fk.from_table}.{fk.from_column} = {fk.to_table}.{fk.to_column}"
-
-
 def render_join_path(result: "LinkResult") -> str:
     """Describe the chosen tables and how they join, for a generation prompt.
 
@@ -348,7 +344,7 @@ def render_join_path(result: "LinkResult") -> str:
         for a, b in zip(path.tables, path.tables[1:]):
             pair = {a.casefold(), b.casefold()}
             conditions.extend(
-                _condition(fk)
+                join_condition(fk)
                 for fk in all_edges
                 if {fk.from_table.casefold(), fk.to_table.casefold()} == pair
             )
@@ -361,7 +357,7 @@ def render_join_path(result: "LinkResult") -> str:
     if len(tables) == 1:
         return f"{tables[0]} (no joins required)"
     lines = [", ".join(tables)]
-    conditions = list(dict.fromkeys(_condition(fk) for fk in all_edges))
+    conditions = list(dict.fromkeys(join_condition(fk) for fk in all_edges))
     if conditions:
         lines.append("joins:")
         lines.extend(conditions)

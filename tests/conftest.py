@@ -15,11 +15,17 @@ from schema_linker import (
     run_generation,
     run_linking,
 )
-from schema_linker.harness import _read_jsonl
+from schema_linker.errors import ParseError
+from schema_linker.jsonl import read_jsonl
 
 from toy_corpus import ScriptedBackend, write_corpus
 
 ALL_MODES = ["mode1", "mode2", "mode3", "mode4", "mode5", "mode6", "mode7"]
+
+
+def read_rows(path: Path) -> list[dict]:
+    """Every row of a run output, in file order."""
+    return list(read_jsonl(path, ParseError, "run output"))
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +96,7 @@ def mode_runs(tmp_path_factory, questions, repo):
                 outcome=outcome,
                 backend=backend,
                 client=client,
-                rows={row["question_id"]: row for row in _read_jsonl(out_path)},
+                rows={row["question_id"]: row for row in read_rows(out_path)},
             )
         return built[mode]
 

@@ -27,9 +27,9 @@ from schema_linker import (
     run_linking,
     schema_metrics,
 )
-from schema_linker.harness import _read_jsonl
 from schema_linker.llm import SYSTEM_PROMPTS
 
+from conftest import read_rows
 from oracle_paths import brute_shortest_paths, graph_from_adjacency, random_adjacency
 from sql_fixture_queries import EXTRACTION_FIXTURES
 from toy_corpus import ScriptedBackend
@@ -327,7 +327,7 @@ def test_8_record_mode_smoke_against_live_style_endpoint(
         outcome = run_linking(questions[:3], config, repo, tmp_path / "live.jsonl")
         if outcome.completed != 3 or outcome.failed:
             failures.append(f"live run: {outcome}")
-        rows = {row["question_id"]: row for row in _read_jsonl(tmp_path / "live.jsonl")}
+        rows = {row["question_id"]: row for row in read_rows(tmp_path / "live.jsonl")}
         for qid, expected in EXPECTED_SMOKE_TABLES.items():
             if set(rows[qid]["chosen_tables"]) != expected:
                 failures.append(f"q{qid}: {rows[qid]['chosen_tables']}")
@@ -348,7 +348,7 @@ def test_8_record_mode_smoke_against_live_style_endpoint(
     )
     if replay_outcome.failed:
         failures.append(f"replay after recording failed: {replay_outcome}")
-    replayed = {row["question_id"] for row in _read_jsonl(tmp_path / "replayed.jsonl")}
+    replayed = {row["question_id"] for row in read_rows(tmp_path / "replayed.jsonl")}
     if replayed != set(EXPECTED_SMOKE_TABLES):
         failures.append(f"replay rows missing: {replayed}")
     _verdict("8/8 record-mode smoke against an unmodified HTTP endpoint", failures)

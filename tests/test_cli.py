@@ -11,8 +11,8 @@ from schema_linker import (
     run_generation,
 )
 from schema_linker.cli import main
-from schema_linker.harness import _read_jsonl
 
+from conftest import read_rows
 from toy_corpus import ScriptedBackend
 
 
@@ -45,7 +45,7 @@ class TestLink:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert "linked 10 question(s) (0 already present, 0 failed)" in result.output
-        rows = _read_jsonl(out)
+        rows = read_rows(out)
         assert len(rows) == 10
         assert all(row["error"] is None for row in rows)
 
@@ -69,7 +69,7 @@ class TestLink:
             ],
         )
         assert result.exit_code == 0, result.output
-        rows = _read_jsonl(tmp_path / "out.jsonl")
+        rows = read_rows(tmp_path / "out.jsonl")
         assert all(row["mode"] == "mode7" for row in rows)
 
     def test_failed_rows_exit_with_2(
@@ -137,7 +137,7 @@ class TestGenerate:
         )
         assert result.exit_code == 0, result.output
         assert "generated SQL for 10 question(s)" in result.output
-        rows = _read_jsonl(tmp_path / "link_generated.jsonl")
+        rows = read_rows(tmp_path / "link_generated.jsonl")
         assert len(rows) == 10
         assert all(row["predicted_sql"] for row in rows)
 

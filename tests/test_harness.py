@@ -1,7 +1,15 @@
+import itertools
 import json
+import re
+import sys
+import threading
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
+
+import schema_linker.jsonl
 
 from schema_linker import (
     CachingClient,
@@ -22,11 +30,24 @@ from schema_linker import (
     run_sweep,
     write_schema_document,
 )
-from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS, _read_jsonl
-from schema_linker.llm import SYSTEM_PROMPTS, render_sql_gen_prompt
+from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS
+from schema_linker.llm import (
+    RETRY_NUDGE,
+    SYSTEM_PROMPTS,
+    CompletionRequest,
+    render_sql_gen_prompt,
+)
 
+from conftest import read_rows
 from reference_render import reference_render
-from toy_corpus import CORPUS, DB_ID, ScriptedBackend, build_database, write_corpus
+from toy_corpus import (
+    CORPUS,
+    DB_ID,
+    ScriptedBackend,
+    build_database,
+    corpus_row_by_question,
+    write_corpus,
+)
 
 EXPECTED_MODE7_CHOSEN = {
     "1": {"customers", "orders"},
@@ -243,7 +264,7 @@ class TestRunLinking:
         )
         assert outcome.skipped == 4
         assert outcome.completed == 6
-        rows = _read_jsonl(partial)
+        rows = read_rows(partial)
         assert {row["question_id"] for row in rows} == set(EXPECTED_MODE7_CHOSEN)
 
     def test_replay_against_empty_cache_records_misses(
@@ -255,7 +276,7 @@ class TestRunLinking:
         out = tmp_path / "out.jsonl"
         outcome = run_linking(questions, config, repo, out, client=config.build_client())
         assert outcome.failed == 10
-        for row in _read_jsonl(out):
+        for row in read_rows(out):
             assert row["error"]["code"] == "CACHE_MISS"
 
     def test_failed_rows_are_retried_on_resume(
@@ -278,13 +299,13 @@ class TestRunLinking:
         assert (again.completed, again.skipped, again.failed) == (0, 10, 0)
 
         # the later successful row wins over the error row before it
-        assert len(_read_jsonl(out)) == 20
+        assert len(read_rows(out)) == 20
         gen_path = tmp_path / "gen.jsonl"
         generated = run_generation(
             out, config, client=replay_client(golden_pipeline.cache_path), out_path=gen_path
         )
         assert (generated.completed, generated.skipped, generated.failed) == (10, 0, 0)
-        rows = _read_jsonl(gen_path)
+        rows = read_rows(gen_path)
         assert len(rows) == 10
         assert all(row["error"] is None and row["predicted_sql"] for row in rows)
 
@@ -297,7 +318,7 @@ class TestRunLinking:
             [ghost], config, repo, out, client=replay_client(run.cache_path)
         )
         assert outcome.failed == 1
-        (row,) = _read_jsonl(out)
+        (row,) = read_rows(out)
         assert row["error"]["code"] == "ERROR"
         assert "ghost" in row["error"]["message"]
 
@@ -315,7 +336,7 @@ class TestRunLinking:
                 questions, config, repo, out, client=replay_client(run.cache_path)
             )
             assert outcome.failed == 0
-            rows = sorted(_read_jsonl(out), key=lambda r: int(r["question_id"]))
+            rows = sorted(read_rows(out), key=lambda r: int(r["question_id"]))
             outputs.append(rows)
         assert outputs[0] == outputs[1]
 
@@ -360,7 +381,7 @@ class TestRunGeneration:
     def test_golden_run_reproduces_gold_sql(self, golden_pipeline):
         assert golden_pipeline.gen_outcome.failed == 0
         assert golden_pipeline.gen_path.name == "link_generated.jsonl"
-        rows = {r["question_id"]: r for r in _read_jsonl(golden_pipeline.gen_path)}
+        rows = {r["question_id"]: r for r in read_rows(golden_pipeline.gen_path)}
         assert len(rows) == 10
         gold = {str(r["question_id"]): r["SQL"] for r in CORPUS}
         for qid, row in rows.items():
@@ -458,7 +479,7 @@ class TestRunGeneration:
         )
         old_rows = [
             dict(row, full_schema=full_schema)
-            for row in _read_jsonl(golden_pipeline.link_path)
+            for row in read_rows(golden_pipeline.link_path)
         ]
         link_path = tmp_path / "old_link.jsonl"
         link_path.write_text(
@@ -480,7 +501,7 @@ class TestRunGeneration:
                 evidence=row.get("evidence"),
                 baseline=True,
                 model_name=config.linker_model,
-                temperature=config.temperatures[1],
+                temperature=config.generate_temperature,
             )
             for row in old_rows
         ]
@@ -509,7 +530,7 @@ class TestRunGeneration:
             out_path=tmp_path / "gen.jsonl",
         )
         assert outcome.failed == 1
-        rows = {r["question_id"]: r for r in _read_jsonl(tmp_path / "gen.jsonl")}
+        rows = {r["question_id"]: r for r in read_rows(tmp_path / "gen.jsonl")}
         assert rows["5"]["predicted_sql"] is None
         assert rows["5"]["generation_error"]["code"] == "GENERATION_FAILED"
         assert rows["4"]["generation_error"] is None
@@ -535,7 +556,7 @@ class TestRunGeneration:
         )
         assert outcome.failed == 1
         assert backend.requests == []
-        (out_row,) = _read_jsonl(tmp_path / "gen.jsonl")
+        (out_row,) = read_rows(tmp_path / "gen.jsonl")
         assert out_row["generation_error"]["message"] == "linking failed upstream"
 
     def test_empty_link_output_rejected(self, golden_pipeline, tmp_path):
@@ -543,6 +564,148 @@ class TestRunGeneration:
         empty.touch()
         with pytest.raises(EmptyInputError):
             run_generation(empty, golden_pipeline.config)
+
+
+def as_set(rows: list[dict]) -> set[str]:
+    return {json.dumps(row, sort_keys=True) for row in rows}
+
+
+class TestRowRunner:
+    def test_replay_runs_on_the_calling_thread(
+        self, golden_pipeline, questions, repo, tmp_path, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replay built a thread pool")
+
+        monkeypatch.setattr(schema_linker.jsonl, "ThreadPoolExecutor", no_pool)
+        config = RunConfig(mode="mode7", cache_path=golden_pipeline.cache_path, workers=4)
+        client = replay_client(golden_pipeline.cache_path)
+        threads = threading.active_count()
+        link_path = tmp_path / "link.jsonl"
+        linked = run_linking(list(reversed(questions)), config, repo, link_path, client=client)
+        generated = run_generation(link_path, config, client=client)
+        assert threading.active_count() == threads
+        assert (linked.failed, generated.failed) == (0, 0)
+        order = [question.question_id for question in reversed(questions)]
+        assert [row["question_id"] for row in read_rows(link_path)] == order
+        assert [row["question_id"] for row in read_rows(generated.path)] == order
+
+    def test_record_overlaps_requests(self, golden_pipeline, questions, repo, tmp_path):
+        class Overlapping(ScriptedBackend):
+            """Holds its first two requests until both are in flight."""
+
+            def __init__(self):
+                super().__init__()
+                self.arrivals = itertools.count()
+                self.both_in_flight = threading.Barrier(2, timeout=10)
+
+            def complete(self, request):
+                if next(self.arrivals) < 2:
+                    self.both_in_flight.wait()
+                return super().complete(request)
+
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(TranscriptCache(cache_path), backend=Overlapping(), mode="record")
+        config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=4)
+        link_path = tmp_path / "link.jsonl"
+        linked = run_linking(questions, config, repo, link_path, client=client)
+        generated = run_generation(link_path, config, client=client)
+        assert (linked.failed, generated.failed) == (0, 0)
+        assert as_set(read_rows(link_path)) == as_set(read_rows(golden_pipeline.link_path))
+        assert as_set(read_rows(generated.path)) == as_set(read_rows(golden_pipeline.gen_path))
+
+
+FAILING_QUESTION = 3
+
+
+@pytest.fixture
+def usage_endpoint():
+    """Start a chat-completions server whose usage names the question.
+
+    Each reply reports one unit under "q<question_id>", and ``spent`` counts
+    the replies per tag. Question FAILING_QUESTION gets an unusable
+    endpoint reply, and its retry is refused with HTTP 400, so its row
+    fails after spending one unit. The first ``hold`` requests wait until
+    all of them are in flight.
+    """
+    servers = []
+
+    def start(hold: int = 0) -> SimpleNamespace:
+        backend = ScriptedBackend(endpoint_overrides={FAILING_QUESTION: "I cannot tell."})
+        spent = Counter()
+        lock = threading.Lock()
+        arrivals = itertools.count()
+        held = threading.Barrier(max(hold, 1), timeout=10)
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                system, user = (message["content"] for message in body["messages"])
+                if next(arrivals) < hold:
+                    held.wait()
+                question = re.search(r"^Question: (.*)$", user, re.MULTILINE).group(1)
+                tag = f"q{corpus_row_by_question(question)['question_id']}"
+                if RETRY_NUDGE in user:
+                    status, payload = 400, {"error": "refused"}
+                else:
+                    request = CompletionRequest(
+                        body["model"], system, user, body["temperature"]
+                    )
+                    reply = backend.complete(request)
+                    with lock:
+                        spent[tag] += 1
+                    status = 200
+                    payload = {"choices": [{"message": {"content": reply}}], "usage": {tag: 1}}
+                blob = json.dumps(payload).encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        servers.append(server)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        return SimpleNamespace(url=url, spent=spent)
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+class TestTokenUsage:
+    """A link row carries exactly the tokens its own requests spent."""
+
+    @pytest.mark.parametrize("workers,hold", [(1, 0), (4, 4)])
+    def test_each_row_holds_its_own_tokens(
+        self, usage_endpoint, questions, repo, tmp_path, workers, hold
+    ):
+        endpoint = usage_endpoint(hold)
+        config = RunConfig(
+            mode="mode4",
+            cache_path=tmp_path / "cache.jsonl",
+            cache_mode="record",
+            workers=workers,
+            api_url=endpoint.url,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose shared counts
+        try:
+            outcome = run_linking(questions, config, repo, tmp_path / "link.jsonl")
+        finally:
+            sys.setswitchinterval(interval)
+        rows = read_rows(tmp_path / "link.jsonl")
+        assert outcome.failed == 1
+        assert [row["question_id"] for row in rows if row["error"]] == [str(FAILING_QUESTION)]
+        tags = {question.question_id: f"q{question.question_id}" for question in questions}
+        assert {row["question_id"]: row.get("token_usage") for row in rows} == {
+            question_id: {tag: endpoint.spent[tag]} for question_id, tag in tags.items()
+        }
 
 
 def torn(lines: list[str], keep: int) -> str:
@@ -555,7 +718,7 @@ def assert_reads_cleanly(path, rows: int, caplog) -> None:
     lines = path.read_text(encoding="utf-8").splitlines(True)
     assert len(lines) == rows
     assert all(line.endswith("\n") and json.loads(line) for line in lines)
-    assert len(_read_jsonl(path)) == rows
+    assert len(read_rows(path)) == rows
     assert "torn" not in caplog.text
 
 
@@ -564,7 +727,7 @@ class TestTornLastLine:
         lines = mode_runs("mode7").link_path.read_text(encoding="utf-8").splitlines(True)
         path = tmp_path / "link.jsonl"
         path.write_text(torn(lines, 3), encoding="utf-8")
-        assert [row["question_id"] for row in _read_jsonl(path)] == [
+        assert [row["question_id"] for row in read_rows(path)] == [
             json.loads(line)["question_id"] for line in lines[:3]
         ]
         assert "torn final line" in caplog.text
@@ -576,7 +739,7 @@ class TestTornLastLine:
             "".join(lines[:2]) + '{"question_id": \n' + "".join(lines[2:4]), encoding="utf-8"
         )
         with pytest.raises(ParseError, match=":3: unreadable run output"):
-            _read_jsonl(path)
+            read_rows(path)
 
     def test_linking_resumes_after_a_torn_row(
         self, mode_runs, questions, repo, tmp_path, caplog
