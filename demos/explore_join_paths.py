@@ -10,16 +10,10 @@ import sqlite3
 import tempfile
 from pathlib import Path
 
-from schema_linker import (
-    all_shortest_paths,
-    augment_sparse_graph,
-    build_candidates,
-    build_graph,
-    ingest_sqlite,
-    preset,
-    render_candidate_lines,
-    render_filtered_schema,
-)
+from schema_linker import all_shortest_paths, build_candidates, preset
+from schema_linker.pathfinder import render_candidate_lines
+from schema_linker.schema_model import augment_sparse_graph, build_graph, ingest_sqlite
+from schema_linker.sql_analysis import render_filtered_schema
 
 DDL = """
 CREATE TABLE customers (

@@ -12,14 +12,14 @@ import sqlite3
 import tempfile
 from pathlib import Path
 
-from schema_linker import (
+from schema_linker.metrics import (
     aggregate,
     execution_match,
-    extract_tables,
-    ingest_sqlite,
     make_eval_record,
     schema_metrics,
 )
+from schema_linker.schema_model import ingest_sqlite
+from schema_linker.sql_analysis import extract_tables
 
 DDL = """
 CREATE TABLE customers (

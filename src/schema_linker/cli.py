@@ -45,7 +45,7 @@ def _echo_diagnostics(diagnostics: list[str]) -> None:
 
 workers_option = click.option(
     "--workers",
-    default=4,
+    default=RunConfig.workers,
     show_default=True,
     type=int,
     help="Questions run at once on threads with --record. Replay runs one "

@@ -21,13 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .errors import (
-    EmptyInputError,
-    GoldExecutionError,
-    LinkerError,
-    NoSchemasFoundError,
-    ParseError,
-)
+from .errors import EmptyInputError, GoldExecutionError, NoSchemasFoundError, ParseError
 from .jsonl import append_rows, read_jsonl
 from .llm import (
     DEFAULT_MODEL,
@@ -88,8 +82,6 @@ class RunConfig:
     cache_mode: str = "replay"
     baseline: bool = False
     workers: int = 4  # threads for record mode; replay runs on the calling thread
-    api_url: str | None = None
-    api_key: str | None = None
 
     def build_client(self) -> CachingClient:
         if self.cache_path is None:
@@ -97,7 +89,7 @@ class RunConfig:
         cache = TranscriptCache(self.cache_path)
         backend = None
         if CacheMode(self.cache_mode) is CacheMode.RECORD:
-            backend = HttpCompletionClient(self.api_url, self.api_key)
+            backend = HttpCompletionClient()
         return CachingClient(cache, backend=backend, mode=self.cache_mode)
 
 
@@ -242,6 +234,19 @@ def _error_payload(exc: Exception) -> dict:
     return {"code": getattr(exc, "code", "ERROR"), "message": str(exc)}
 
 
+def _with_usage(row: dict, client: CachingClient, field: str) -> dict:
+    """Store the token usage of the calling thread's requests in row[field].
+
+    Usage is counted per thread, and a row's requests all run on the
+    thread that builds the row. Nothing is stored when the backend
+    reported none, as in replay.
+    """
+    usage = client.pop_usage()
+    if usage:
+        row[field] = usage
+    return row
+
+
 Item = TypeVar("Item")
 
 
@@ -304,13 +309,6 @@ def run_linking(
             "mode": mode_name,
         }
 
-    def with_usage(row: dict) -> dict:
-        # Usage is counted per thread, and this row's requests ran on this one.
-        usage = client.pop_usage()
-        if usage:
-            row["token_usage"] = usage
-        return row
-
     def work(question: Question) -> dict:
         client.pop_usage()  # drop what anything before this row left behind
         schema = repo.schema(question.db_id)
@@ -341,11 +339,12 @@ def run_linking(
             "join_path": render_join_path(result),
             "error": None,
         }
-        return with_usage(row)
+        return _with_usage(row, client, "token_usage")
 
     def error_row(question: Question, exc: Exception) -> dict:
         log.warning("question %s failed: %s", question.question_id, exc)
-        return with_usage({**question_fields(question), "error": _error_payload(exc)})
+        row = {**question_fields(question), "error": _error_payload(exc)}
+        return _with_usage(row, client, "token_usage")
 
     items = {question.question_id: question for question in questions}
     return _run_rows(items, Path(out_path), work, error_row, "error", client, config)
@@ -385,7 +384,9 @@ def run_generation(
     Renders the join-path prompt from the row's filtered schema, or, when
     config.baseline is set, the baseline prompt from the full schema of the
     row's database in repo. The last link row per question_id is used, and
-    output rows that already hold generated SQL are skipped.
+    output rows that already hold generated SQL are skipped. A row keeps
+    the link stage's token_usage and records the generation request's own
+    tokens as generation_token_usage.
     """
     if config.baseline and repo is None:
         raise ValueError("baseline generation needs repo= to render the full schema")
@@ -399,6 +400,7 @@ def run_generation(
     generator_model = config.generator_model or config.linker_model
 
     def work(row: dict) -> dict:
+        client.pop_usage()  # drop what anything before this row left behind
         sql, problem = None, "linking failed upstream"
         if not row.get("error"):
             if config.baseline:
@@ -417,11 +419,13 @@ def run_generation(
             sql = extract_sql_reply(client.complete(request))
             problem = "no SQL found in reply"
         failure = None if sql else {"code": "GENERATION_FAILED", "message": problem}
-        return {**row, "predicted_sql": sql, "generation_error": failure}
+        out = {**row, "predicted_sql": sql, "generation_error": failure}
+        return _with_usage(out, client, "generation_token_usage")
 
     def error_row(row: dict, exc: Exception) -> dict:
         log.warning("generation for %s failed: %s", row["question_id"], exc)
-        return {**row, "predicted_sql": None, "generation_error": _error_payload(exc)}
+        out = {**row, "predicted_sql": None, "generation_error": _error_payload(exc)}
+        return _with_usage(out, client, "generation_token_usage")
 
     return _run_rows(
         rows, Path(out_path), work, error_row, "generation_error", client, config
@@ -597,11 +601,14 @@ def run_sweep(
     """Run linking plus schema-level evaluation for each mode.
 
     Writes per-mode link outputs and reports under out_dir, then a
-    grid.csv/grid.json comparing schema metrics across modes.
+    grid.csv/grid.json comparing schema metrics across modes. ``modes``
+    defaults to all seven; an empty list is a ValueError.
     """
+    mode_names = [canonical_mode_name(m) for m in (MODE_PRESETS if modes is None else modes)]
+    if not mode_names:
+        raise ValueError("no modes given")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode_names = [canonical_mode_name(m) for m in (modes or list(MODE_PRESETS))]
     client = client if client is not None else base_config.build_client()
 
     grid_rows = []

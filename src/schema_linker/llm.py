@@ -16,7 +16,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -166,11 +166,9 @@ def render_src_dst_prompt(
     evidence: str | None = None,
     *,
     model_name: str = DEFAULT_MODEL,
-    temperature: float | None = None,
+    temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST],
 ) -> CompletionRequest:
     """Prompt asking for source and destination tables for a question."""
-    if temperature is None:
-        temperature = DEFAULT_TEMPERATURES[PromptId.SRC_DST]
     parts = [
         f"Database: {schema.database_id}",
         "",
@@ -194,11 +192,9 @@ def render_path_select_prompt(
     candidate_lines: Sequence[str],
     *,
     model_name: str = DEFAULT_MODEL,
-    temperature: float | None = None,
+    temperature: float = DEFAULT_TEMPERATURES[PromptId.PATH_SELECT],
 ) -> CompletionRequest:
     """Prompt asking the model to pick one candidate join path."""
-    if temperature is None:
-        temperature = DEFAULT_TEMPERATURES[PromptId.PATH_SELECT]
     user_text = (
         f"Question: {question}\n\nCandidate join paths:\n" + "\n".join(candidate_lines)
     )
@@ -244,7 +240,6 @@ class EndpointExtraction:
 
     sources: tuple[str, ...]
     destinations: tuple[str, ...]
-    raw_reply: str = ""
     warnings: tuple[str, ...] = ()
     degraded: bool = False
 
@@ -327,18 +322,16 @@ def parse_src_dst_reply(reply: str, schema: Schema) -> EndpointExtraction:
     return EndpointExtraction(
         sources=sources,
         destinations=destinations,
-        raw_reply=reply,
         warnings=tuple(warnings),
     )
 
 
-def degraded_extraction(schema: Schema, raw_reply: str = "") -> EndpointExtraction:
+def degraded_extraction(schema: Schema) -> EndpointExtraction:
     """Fallback used when no usable endpoints could be extracted."""
     names = tuple(schema.table_names)
     return EndpointExtraction(
         sources=names,
         destinations=names,
-        raw_reply=raw_reply,
         warnings=("endpoint extraction failed; treating every table as src and dst",),
         degraded=True,
     )
@@ -410,6 +403,11 @@ class TranscriptCache:
         return list(read_jsonl(self.path, CacheMissError, "cache line"))
 
 
+REQUEST_TIMEOUT_S = 120.0
+MAX_ATTEMPTS = 3
+BACKOFF_S = 1.0  # doubled after each further failed attempt
+
+
 class HttpCompletionClient:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
@@ -419,22 +417,11 @@ class HttpCompletionClient:
     thread's total, so concurrent rows never see each other's tokens.
     """
 
-    def __init__(
-        self,
-        api_url: str | None = None,
-        api_key: str | None = None,
-        *,
-        timeout: float = 120.0,
-        max_attempts: int = 3,
-        backoff_s: float = 1.0,
-    ):
+    def __init__(self, api_url: str | None = None, api_key: str | None = None):
         self.api_url = api_url or os.environ.get(API_URL_ENV)
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not self.api_url:
             raise BackendError(f"no API endpoint configured; set {API_URL_ENV}")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
         self._usage = threading.local()  # its attributes are one thread's totals
 
     def complete(self, request: CompletionRequest) -> str:
@@ -450,12 +437,12 @@ class HttpCompletionClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 response = requests.post(
-                    self.api_url, json=body, headers=headers, timeout=self.timeout
+                    self.api_url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -483,7 +470,7 @@ class HttpCompletionClient:
                         totals[key] = totals.get(key, 0) + val
             return text
         raise BackendError(
-            f"backend unreachable after {self.max_attempts} attempts: {last_error}"
+            f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     def pop_usage(self) -> dict[str, int]:
@@ -556,15 +543,11 @@ class LlmEndpointOracle:
         self,
         client: CompletionClient,
         model_name: str = DEFAULT_MODEL,
-        temperature: float | None = None,
-        retry: bool = True,
+        temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST],
     ):
         self.client = client
         self.model_name = model_name
-        self.temperature = (
-            DEFAULT_TEMPERATURES[PromptId.SRC_DST] if temperature is None else temperature
-        )
-        self.retry = retry
+        self.temperature = temperature
 
     def __call__(
         self, question: str, schema: Schema, evidence: str | None = None
@@ -581,21 +564,14 @@ class LlmEndpointOracle:
             return parse_src_dst_reply(reply, schema)
         except (ReplyParseError, EmptyAfterFilteringError):
             pass
-        if self.retry:
-            nudged = CompletionRequest(
-                model_name=request.model_name,
-                system_text=request.system_text,
-                user_text=request.user_text + "\n\n" + RETRY_NUDGE,
-                temperature=request.temperature,
-            )
-            try:
-                reply = self.client.complete(nudged)
-                return parse_src_dst_reply(reply, schema)
-            except CacheMissError:
-                log.warning("no retry transcript available; degrading")
-            except (ReplyParseError, EmptyAfterFilteringError):
-                pass
-        return degraded_extraction(schema, raw_reply=reply)
+        nudged = replace(request, user_text=request.user_text + "\n\n" + RETRY_NUDGE)
+        try:
+            return parse_src_dst_reply(self.client.complete(nudged), schema)
+        except CacheMissError:
+            log.warning("no retry transcript available; degrading")
+        except (ReplyParseError, EmptyAfterFilteringError):
+            pass
+        return degraded_extraction(schema)
 
 
 class LlmPathOracle:
@@ -605,15 +581,11 @@ class LlmPathOracle:
         self,
         client: CompletionClient,
         model_name: str = DEFAULT_MODEL,
-        temperature: float | None = None,
+        temperature: float = DEFAULT_TEMPERATURES[PromptId.PATH_SELECT],
     ):
         self.client = client
         self.model_name = model_name
-        self.temperature = (
-            DEFAULT_TEMPERATURES[PromptId.PATH_SELECT]
-            if temperature is None
-            else temperature
-        )
+        self.temperature = temperature
 
     def __call__(self, question: str, candidate_lines: list[str]) -> int:
         request = render_path_select_prompt(

@@ -248,16 +248,13 @@ def build_graph(schema: Schema) -> SchemaGraph:
     return SchemaGraph(nodes=nodes, edges=tuple(edges))
 
 
-def is_id_like_column(name: str, *, literal_substring: bool = False) -> bool:
+def is_id_like_column(name: str) -> bool:
     """Decide whether a column name looks like a join key.
 
-    The default rule requires "id" to appear as its own name token; the
-    literal-substring switch accepts any name containing "id" anywhere,
-    which also matches words like "video" or "holiday".
+    "id" must appear as its own name token, so words that merely contain
+    it, like "video" or "holiday", do not count.
     """
     low = name.casefold()
-    if literal_substring:
-        return "id" in low
     return (
         low == "id"
         or low.endswith("_id")
@@ -266,12 +263,7 @@ def is_id_like_column(name: str, *, literal_substring: bool = False) -> bool:
     )
 
 
-def augment_sparse_graph(
-    graph: SchemaGraph,
-    schema: Schema,
-    *,
-    literal_substring: bool = False,
-) -> SchemaGraph:
+def augment_sparse_graph(graph: SchemaGraph, schema: Schema) -> SchemaGraph:
     """Add shared-id-column edges when the graph has fewer than two edges.
 
     Graphs with two or more edges are returned unchanged. Augmentation runs
@@ -292,7 +284,7 @@ def augment_sparse_graph(
             twin = second_cols.get(col.name.casefold())
             if twin is None:
                 continue
-            if not is_id_like_column(col.name, literal_substring=literal_substring):
+            if not is_id_like_column(col.name):
                 continue
             shared.append(
                 ForeignKeyEdge(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from schema_linker import ForeignKeyEdge, GraphEdge, SchemaGraph
+from schema_linker.schema_model import ForeignKeyEdge, GraphEdge, SchemaGraph
 
 
 def all_simple_paths(adj: dict[str, set[str]], src: str, dst: str) -> list[tuple[str, ...]]:

@@ -12,7 +12,7 @@ import random
 import re
 from typing import Sequence
 
-from schema_linker import ColumnDef, ForeignKeyEdge, Schema, TableDef
+from schema_linker.schema_model import ColumnDef, ForeignKeyEdge, Schema, TableDef
 
 _PLAIN = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

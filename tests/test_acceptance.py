@@ -13,21 +13,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from threading import Thread
 
 from schema_linker import (
-    CompletionRequest,
-    PromptId,
     RunConfig,
     TranscriptCache,
     all_shortest_paths,
     build_candidates,
-    extract_tables,
-    fbeta_from_rates,
     preset,
     run_evaluation,
     run_generation,
     run_linking,
-    schema_metrics,
 )
-from schema_linker.llm import SYSTEM_PROMPTS
+from schema_linker.llm import SYSTEM_PROMPTS, CompletionRequest, PromptId
+from schema_linker.metrics import fbeta_from_rates, schema_metrics
+from schema_linker.sql_analysis import extract_tables
 
 from conftest import read_rows
 from oracle_paths import brute_shortest_paths, graph_from_adjacency, random_adjacency

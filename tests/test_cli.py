@@ -293,6 +293,24 @@ class TestSweep:
         assert grid_lines[1].startswith("mode1,1-1,10,")
         assert grid_lines[2].startswith("mode7,force-union,10,")
 
+    def test_empty_mode_list_is_fatal(
+        self, runner, dataset_path, schema_root, mode_runs, tmp_path
+    ):
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--dataset", str(dataset_path),
+                "--schemas", str(schema_root),
+                "--modes", " , ",
+                "--out-dir", str(tmp_path / "sweep"),
+                "--cache", str(mode_runs("mode7").cache_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: no modes given\n"
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestTopLevel:
     def test_help_lists_commands(self, runner):

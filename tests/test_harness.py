@@ -13,16 +13,9 @@ import schema_linker.jsonl
 
 from schema_linker import (
     CachingClient,
-    EmptyInputError,
-    NoSchemasFoundError,
-    ParseError,
-    PromptId,
-    Question,
     RunConfig,
-    Schema,
     SchemaRepository,
     TranscriptCache,
-    extract_sql_reply,
     ingest_dataset,
     run_evaluation,
     run_generation,
@@ -30,13 +23,17 @@ from schema_linker import (
     run_sweep,
     write_schema_document,
 )
-from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS
+from schema_linker.errors import EmptyInputError, NoSchemasFoundError, ParseError
+from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS, Question, extract_sql_reply
 from schema_linker.llm import (
+    API_URL_ENV,
     RETRY_NUDGE,
     SYSTEM_PROMPTS,
     CompletionRequest,
+    PromptId,
     render_sql_gen_prompt,
 )
+from schema_linker.schema_model import Schema
 
 from conftest import read_rows
 from reference_render import reference_render
@@ -616,6 +613,7 @@ class TestRowRunner:
 
 
 FAILING_QUESTION = 3
+NO_SQL_QUESTION = 5
 
 
 @pytest.fixture
@@ -625,13 +623,17 @@ def usage_endpoint():
     Each reply reports one unit under "q<question_id>", and ``spent`` counts
     the replies per tag. Question FAILING_QUESTION gets an unusable
     endpoint reply, and its retry is refused with HTTP 400, so its row
-    fails after spending one unit. The first ``hold`` requests wait until
+    fails after spending one unit. Question NO_SQL_QUESTION gets a
+    generation reply without SQL. The first ``hold`` requests wait until
     all of them are in flight.
     """
     servers = []
 
     def start(hold: int = 0) -> SimpleNamespace:
-        backend = ScriptedBackend(endpoint_overrides={FAILING_QUESTION: "I cannot tell."})
+        backend = ScriptedBackend(
+            sql_overrides={NO_SQL_QUESTION: "I cannot write that query."},
+            endpoint_overrides={FAILING_QUESTION: "I cannot tell."},
+        )
         spent = Counter()
         lock = threading.Lock()
         arrivals = itertools.count()
@@ -679,19 +681,19 @@ def usage_endpoint():
 
 
 class TestTokenUsage:
-    """A link row carries exactly the tokens its own requests spent."""
+    """A row carries exactly the tokens its own requests spent."""
 
     @pytest.mark.parametrize("workers,hold", [(1, 0), (4, 4)])
     def test_each_row_holds_its_own_tokens(
-        self, usage_endpoint, questions, repo, tmp_path, workers, hold
+        self, usage_endpoint, questions, repo, tmp_path, monkeypatch, workers, hold
     ):
         endpoint = usage_endpoint(hold)
+        monkeypatch.setenv(API_URL_ENV, endpoint.url)
         config = RunConfig(
             mode="mode4",
             cache_path=tmp_path / "cache.jsonl",
             cache_mode="record",
             workers=workers,
-            api_url=endpoint.url,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, to expose shared counts
@@ -706,6 +708,42 @@ class TestTokenUsage:
         assert {row["question_id"]: row.get("token_usage") for row in rows} == {
             question_id: {tag: endpoint.spent[tag]} for question_id, tag in tags.items()
         }
+
+    @pytest.mark.parametrize("workers,hold", [(1, 0), (4, 4)])
+    def test_generated_rows_hold_their_own_tokens(
+        self, usage_endpoint, questions, repo, tmp_path, monkeypatch, workers, hold
+    ):
+        link_path = tmp_path / "link.jsonl"
+        config = RunConfig(
+            mode="mode4",
+            cache_path=tmp_path / "cache.jsonl",
+            cache_mode="record",
+            workers=workers,
+        )
+        monkeypatch.setenv(API_URL_ENV, usage_endpoint().url)
+        run_linking(questions, config, repo, link_path)
+        endpoint = usage_endpoint(hold)  # counts the generation requests alone
+        monkeypatch.setenv(API_URL_ENV, endpoint.url)
+        outcome = run_generation(link_path, config)
+        rows = read_rows(outcome.path)
+        assert outcome.failed == 2
+        assert {row["question_id"]: row.get("token_usage") for row in rows} == {
+            row["question_id"]: row.get("token_usage") for row in read_rows(link_path)
+        }
+        # The failed link row makes no request; the reply without SQL still spent one.
+        tags = {
+            question.question_id: f"q{question.question_id}"
+            for question in questions
+            if question.question_id != str(FAILING_QUESTION)
+        }
+        assert endpoint.spent == Counter(tags.values())
+        assert {row["question_id"]: row.get("generation_token_usage") for row in rows} == {
+            str(FAILING_QUESTION): None,
+            **{question_id: {tag: 1} for question_id, tag in tags.items()},
+        }
+        failures = {row["question_id"]: row["generation_error"] for row in rows}
+        assert failures[str(NO_SQL_QUESTION)]["code"] == "GENERATION_FAILED"
+        assert failures[str(FAILING_QUESTION)]["message"] == "linking failed upstream"
 
 
 def torn(lines: list[str], keep: int) -> str:
@@ -1104,6 +1142,12 @@ class TestRunSweep:
         assert json.loads(result["grid_json"].read_text(encoding="utf-8")) == result[
             "rows"
         ]
+
+    def test_empty_mode_list_is_rejected(self, questions, repo, tmp_path):
+        base = RunConfig(cache_path=tmp_path / "cache.jsonl")
+        with pytest.raises(ValueError, match="no modes given"):
+            run_sweep(questions, base, repo, tmp_path / "sweep", modes=[])
+        assert not (tmp_path / "sweep").exists()
 
     def test_full_grid_covers_all_modes(self, questions, repo, tmp_path):
         backend = ScriptedBackend()

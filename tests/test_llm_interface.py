@@ -1,29 +1,36 @@
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from schema_linker import (
+import schema_linker.llm
+from schema_linker import CachingClient, HttpCompletionClient, TranscriptCache
+from schema_linker.errors import (
     BackendError,
     CacheMissError,
-    CachingClient,
-    CompletionRequest,
     EmptyAfterFilteringError,
+    OutOfRangeError,
+    ReplyParseError,
+)
+from schema_linker.llm import (
+    DEFAULT_TEMPERATURES,
+    RETRY_NUDGE,
+    SYSTEM_PROMPTS,
+    CompletionRequest,
     LlmEndpointOracle,
     LlmPathOracle,
-    OutOfRangeError,
     PromptId,
-    ReplyParseError,
-    TranscriptCache,
     degraded_extraction,
     parse_path_select_reply,
     parse_src_dst_reply,
     render_path_select_prompt,
-    render_schema,
     render_sql_gen_prompt,
     render_src_dst_prompt,
     request_digest,
 )
-from schema_linker.llm import DEFAULT_TEMPERATURES, RETRY_NUDGE, SYSTEM_PROMPTS
+from schema_linker.sql_analysis import render_schema
 
 
 def req(model="m", system="s", user="u", temperature=0.2):
@@ -188,11 +195,10 @@ class TestSrcDstParsing:
             parse_src_dst_reply("I cannot answer that.", retail_schema)
 
     def test_degraded_extraction_nominates_everything(self, retail_schema):
-        extraction = degraded_extraction(retail_schema, raw_reply="???")
+        extraction = degraded_extraction(retail_schema)
         assert extraction.degraded
         assert set(extraction.sources) == set(retail_schema.table_names)
         assert extraction.sources == extraction.destinations
-        assert extraction.raw_reply == "???"
 
 
 class TestPathSelectParsing:
@@ -389,18 +395,13 @@ class TestEndpointOracle:
         client = ScriptedClient("nope", "still nope")
         extraction = LlmEndpointOracle(client)("q", retail_schema, None)
         assert extraction.degraded
+        assert len(client.seen) == 2
         assert set(extraction.sources) == set(retail_schema.table_names)
 
     def test_replay_cache_miss_on_retry_degrades(self, retail_schema):
         client = ScriptedClient("nope", CacheMissError("digest absent"))
         extraction = LlmEndpointOracle(client)("q", retail_schema, None)
         assert extraction.degraded
-
-    def test_retry_disabled_degrades_immediately(self, retail_schema):
-        client = ScriptedClient("nope")
-        extraction = LlmEndpointOracle(client, retry=False)("q", retail_schema, None)
-        assert extraction.degraded
-        assert len(client.seen) == 1
 
     def test_backend_errors_propagate(self, retail_schema):
         client = ScriptedClient(BackendError("boom"))
@@ -425,3 +426,82 @@ class TestPathOracle:
         client = ScriptedClient("hmm")
         with pytest.raises(ReplyParseError):
             LlmPathOracle(client)("q", ["path_id=1: a"])
+
+
+@pytest.fixture
+def status_endpoint():
+    """Start a chat-completions server answering with scripted HTTP statuses.
+
+    Each request takes the next status from the list and the last one
+    repeats; a 200 carries the reply "ok". ``hits`` counts the requests.
+    """
+    servers = []
+
+    def start(*statuses: int):
+        hits = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                hits.append(self.path)
+                status = statuses[min(len(hits), len(statuses)) - 1]
+                payload = {"choices": [{"message": {"content": "ok"}}]}
+                blob = json.dumps(payload if status == 200 else {"error": status}).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        servers.append(server)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        return HttpCompletionClient(url), hits
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Backoff waits, recorded instead of slept."""
+    waited: list[float] = []
+    monkeypatch.setattr(schema_linker.llm.time, "sleep", waited.append)
+    return waited
+
+
+class TestHttpRetry:
+    def test_server_error_then_success(self, status_endpoint, sleeps):
+        client, hits = status_endpoint(503, 200)
+        assert client.complete(req()) == "ok"
+        assert len(hits) == 2
+        assert sleeps == [1.0]
+
+    def test_server_error_every_attempt_gives_up(self, status_endpoint, sleeps):
+        client, hits = status_endpoint(503)
+        with pytest.raises(BackendError, match="unreachable after 3 attempts"):
+            client.complete(req())
+        assert len(hits) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_client_error_fails_fast(self, status_endpoint, sleeps):
+        client, hits = status_endpoint(400, 200)
+        with pytest.raises(BackendError, match="status 400"):
+            client.complete(req())
+        assert len(hits) == 1
+        assert sleeps == []
+
+    def test_refused_connection_is_retried(self, sleeps):
+        with socket.socket() as probe:  # a port that nothing listens on once closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = HttpCompletionClient(f"http://127.0.0.1:{port}/v1/chat/completions")
+        with pytest.raises(BackendError, match="unreachable after 3 attempts"):
+            client.complete(req())
+        assert sleeps == [1.0, 2.0]  # one backoff before each retry

@@ -3,10 +3,8 @@ import sqlite3
 
 import pytest
 
-from schema_linker import (
-    EmptyGoldError,
-    EmptyInputError,
-    GoldExecutionError,
+from schema_linker.errors import EmptyGoldError, EmptyInputError, GoldExecutionError
+from schema_linker.metrics import (
     aggregate,
     execution_match,
     fbeta_from_counts,

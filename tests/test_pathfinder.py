@@ -2,27 +2,35 @@ import random
 
 import pytest
 
-from schema_linker import (
-    CandidateSet,
+from schema_linker import all_shortest_paths, build_candidates, preset
+from schema_linker.errors import (
     EmptyEndpointsError,
-    EndpointExtraction,
+    OutOfRangeError,
+    ReplyParseError,
+    UnknownTableError,
+)
+from schema_linker.llm import EndpointExtraction
+from schema_linker.pathfinder import (
+    CandidateSet,
     EndpointKeep,
     JoinPath,
     LinkerConfig,
     MODE_LABELS,
     MODE_PRESETS,
-    OutOfRangeError,
-    ReplyParseError,
     UnionMode,
-    UnknownTableError,
-    all_shortest_paths,
-    build_candidates,
     canonical_mode_name,
     link,
-    preset,
     render_candidate_lines,
     render_path,
     select_path,
+)
+from schema_linker.schema_model import (
+    ColumnDef,
+    ForeignKeyEdge,
+    Schema,
+    TableDef,
+    augment_sparse_graph,
+    build_graph,
 )
 
 from oracle_paths import (
@@ -434,9 +442,6 @@ class TestLinkPipeline:
         assert any("shipments" in w for w in result.warnings)
 
     def test_self_referencing_key_is_induced(self):
-        from schema_linker import ColumnDef, ForeignKeyEdge, Schema, TableDef
-        from schema_linker import build_graph
-
         schema = Schema(
             database_id="d",
             tables=(
@@ -464,14 +469,6 @@ class TestLinkPipeline:
         assert ("employee", "office") in induced
 
     def test_augmented_edges_reported_when_used(self):
-        from schema_linker import (
-            ColumnDef,
-            Schema,
-            TableDef,
-            augment_sparse_graph,
-            build_graph,
-        )
-
         schema = Schema(
             database_id="d",
             tables=(

@@ -2,15 +2,18 @@ import sqlite3
 
 import pytest
 
-from schema_linker import (
-    ColumnDef,
+from schema_linker import write_schema_document
+from schema_linker.errors import (
     DanglingForeignKeyError,
     DuplicateTableError,
+    NotADatabaseError,
+    ParseError,
+)
+from schema_linker.schema_model import (
+    ColumnDef,
     FkProvenance,
     ForeignKeyEdge,
     GraphEdge,
-    NotADatabaseError,
-    ParseError,
     Schema,
     TableDef,
     augment_sparse_graph,
@@ -20,7 +23,6 @@ from schema_linker import (
     is_id_like_column,
     schema_from_document,
     schema_to_document,
-    write_schema_document,
 )
 
 from toy_corpus import TOY_ADJACENCY
@@ -238,11 +240,6 @@ class TestIdLikeColumns:
     def test_token_boundary_rule(self, name, expected):
         assert is_id_like_column(name) is expected
 
-    def test_literal_substring_switch(self):
-        assert is_id_like_column("idea", literal_substring=True)
-        assert is_id_like_column("video", literal_substring=True)
-        assert not is_id_like_column("name", literal_substring=True)
-
 
 class TestAugmentation:
     def sparse_schema(self):
@@ -274,17 +271,12 @@ class TestAugmentation:
         graph = augment_sparse_graph(build_graph(schema), schema)
         assert not graph.has_edge("alpha", "gamma")
 
-    def test_literal_switch_widens_matches(self):
+    def test_shared_id_substring_column_adds_no_edge(self):
         schema = Schema(
             database_id="d",
             tables=(make_table("a", "video"), make_table("b", "video")),
         )
-        default = augment_sparse_graph(build_graph(schema), schema)
-        assert default.edge_count == 0
-        widened = augment_sparse_graph(
-            build_graph(schema), schema, literal_substring=True
-        )
-        assert widened.edge_count == 1
+        assert augment_sparse_graph(build_graph(schema), schema).edge_count == 0
 
     def test_declared_pairs_not_duplicated(self):
         schema = Schema(

@@ -2,17 +2,12 @@ import random
 
 import pytest
 
-from schema_linker import (
-    ColumnDef,
-    ForeignKeyEdge,
-    MODE_PRESETS,
-    ParseError,
-    Schema,
-    TableDef,
-    UnknownTableError,
-    EndpointExtraction,
+from schema_linker.errors import ParseError, UnknownTableError
+from schema_linker.llm import EndpointExtraction
+from schema_linker.pathfinder import MODE_PRESETS, link
+from schema_linker.schema_model import ColumnDef, Schema, TableDef
+from schema_linker.sql_analysis import (
     extract_tables,
-    link,
     render_filtered_schema,
     render_join_path,
     render_schema,

@@ -12,7 +12,7 @@ import json
 import sqlite3
 from pathlib import Path
 
-from schema_linker import CompletionRequest, PromptId
+from schema_linker.llm import CompletionRequest, PromptId
 from schema_linker.llm import SYSTEM_PROMPTS
 
 DB_ID = "retail"
