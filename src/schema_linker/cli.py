@@ -238,7 +238,10 @@ def sweep(dataset, schema_root, modes, out_dir, cache_path, replay, model, tempe
             f"f6={row['f6']:.4f}"
         )
     click.echo(f"grid -> {result['grid_csv']}")
-    sys.exit(0)
+    failed = sum(outcome.failed for outcome in result["outcomes"].values())
+    if failed:
+        click.echo(f"{failed} link row(s) failed; rerun the sweep to retry them")
+    sys.exit(2 if failed else 0)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .llm import (
     DEFAULT_TEMPERATURES,
     CacheMode,
     CachingClient,
+    EndpointExtraction,
     HttpCompletionClient,
     LlmEndpointOracle,
     LlmPathOracle,
@@ -42,7 +43,15 @@ from .metrics import (
     execution_match,
     make_eval_record,
 )
-from .pathfinder import MODE_LABELS, MODE_PRESETS, canonical_mode_name, link, preset
+from .pathfinder import (
+    MODE_LABELS,
+    MODE_PRESETS,
+    EndpointOracle,
+    PathMemo,
+    canonical_mode_name,
+    link,
+    preset,
+)
 from .schema_model import (
     Schema,
     SchemaGraph,
@@ -279,6 +288,42 @@ def _run_rows(
     )
 
 
+class _SweepMemo:
+    """Mode-independent results that the modes of one sweep share.
+
+    Holds each question's endpoint extraction and gold table set, keyed by
+    question_id, and each database's shortest paths by (src, dst). Only
+    successes are stored, so a failure repeats in every mode as it would
+    in a standalone run. Record-mode worker threads may compute one key
+    twice; setdefault keeps the first of the two equal values.
+    """
+
+    def __init__(self) -> None:
+        self._extractions: dict[str, EndpointExtraction] = {}
+        self._gold: dict[str, frozenset[str]] = {}
+        self._paths: dict[str, PathMemo] = {}
+
+    def endpoints(self, question_id: str, oracle: EndpointOracle) -> EndpointOracle:
+        """``oracle``, whose first result for ``question_id`` is reused."""
+
+        def extract(text: str, schema: Schema, evidence: str | None) -> EndpointExtraction:
+            found = self._extractions.get(question_id)
+            if found is None:
+                found = self._extractions.setdefault(question_id, oracle(text, schema, evidence))
+            return found
+
+        return extract
+
+    def paths(self, db_id: str) -> PathMemo:
+        return self._paths.setdefault(db_id, {})
+
+    def gold_tables(self, question: Question, repo: SchemaRepository) -> frozenset[str]:
+        found = self._gold.get(question.question_id)
+        if found is None:
+            found = self._gold.setdefault(question.question_id, _gold_tables(question, repo))
+        return found
+
+
 def run_linking(
     questions: Sequence[Question],
     config: RunConfig,
@@ -293,6 +338,19 @@ def run_linking(
     inline, do not stop the run, and are retried by the next run. A row
     carries the backend token usage its own requests reported.
     """
+    return _link_questions(questions, config, repo, Path(out_path), client)
+
+
+def _link_questions(
+    questions: Sequence[Question],
+    config: RunConfig,
+    repo: SchemaRepository,
+    out_path: Path,
+    client: CachingClient | None,
+    *,
+    shared: _SweepMemo | None = None,
+) -> RunOutcome:
+    """run_linking, taking mode-independent results from ``shared`` when given."""
     client = client if client is not None else config.build_client()
     endpoint_oracle = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
     path_oracle = LlmPathOracle(client, config.linker_model, config.link_temperature)
@@ -313,14 +371,19 @@ def run_linking(
         client.pop_usage()  # drop what anything before this row left behind
         schema = repo.schema(question.db_id)
         graph = repo.graph(question.db_id)
+        endpoints, path_memo = endpoint_oracle, None
+        if shared is not None:
+            endpoints = shared.endpoints(question.question_id, endpoint_oracle)
+            path_memo = shared.paths(question.db_id)
         result = link(
             question.text,
             schema,
             graph,
             mode,
-            endpoint_oracle,
+            endpoints,
             path_oracle,
             evidence=question.evidence,
+            path_memo=path_memo,
         )
         row = {
             **question_fields(question),
@@ -347,7 +410,7 @@ def run_linking(
         return _with_usage(row, client, "token_usage")
 
     items = {question.question_id: question for question in questions}
-    return _run_rows(items, Path(out_path), work, error_row, "error", client, config)
+    return _run_rows(items, out_path, work, error_row, "error", client, config)
 
 
 _SQL_FENCE_RE = re.compile(r"```(?:sql)?[ \t]*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
@@ -482,8 +545,30 @@ def run_evaluation(
     to execute when execution checking is on. Report output is byte-stable
     for a given run output.
     """
-    run_output = Path(run_output)
-    report_dir = Path(report_dir)
+    return _evaluate(
+        Path(run_output),
+        questions,
+        repo,
+        check_execution=check_execution,
+        report_dir=Path(report_dir),
+    )
+
+
+def _gold_tables(question: Question, repo: SchemaRepository) -> frozenset[str]:
+    return extract_tables(question.gold_sql, repo.schema(question.db_id)).tables
+
+
+def _evaluate(
+    run_output: Path,
+    questions: Sequence[Question],
+    repo: SchemaRepository,
+    *,
+    check_execution: bool,
+    report_dir: Path,
+    shared: _SweepMemo | None = None,
+) -> EvaluationReport:
+    """run_evaluation, taking gold table sets from ``shared`` when given."""
+    gold_tables = _gold_tables if shared is None else shared.gold_tables
     report_dir.mkdir(parents=True, exist_ok=True)
     rows = _latest_rows(run_output)
 
@@ -495,16 +580,15 @@ def run_evaluation(
         if row is None:
             missing_rows.append(question.question_id)
             continue
-        schema = repo.schema(question.db_id)
         try:
-            gold = extract_tables(question.gold_sql, schema)
+            gold = gold_tables(question, repo)
         except ParseError as exc:
             extraction_failures.append(
                 {"question_id": question.question_id, "reason": str(exc)}
             )
             continue
         scored.append(
-            (question, gold.tables, row.get("chosen_tables") or [], row.get("predicted_sql"))
+            (question, gold, row.get("chosen_tables") or [], row.get("predicted_sql"))
         )
 
     exec_flags: dict[int, bool] = {}
@@ -602,26 +686,37 @@ def run_sweep(
 
     Writes per-mode link outputs and reports under out_dir, then a
     grid.csv/grid.json comparing schema metrics across modes. ``modes``
-    defaults to all seven; an empty list is a ValueError.
+    defaults to all seven; a mode named twice, aliases included, runs once
+    at its first place, and an empty list is a ValueError. Each question's
+    source/destination request, its shortest-path searches and its gold
+    table set are shared by all modes; the first mode that links a question
+    makes the request, so a mode whose link file is complete asks nothing.
+    The result holds each mode's linking RunOutcome under "outcomes".
     """
-    mode_names = [canonical_mode_name(m) for m in (MODE_PRESETS if modes is None else modes)]
+    names = MODE_PRESETS if modes is None else modes
+    mode_names = list(dict.fromkeys(canonical_mode_name(m) for m in names))
     if not mode_names:
         raise ValueError("no modes given")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else base_config.build_client()
+    shared = _SweepMemo()
 
     grid_rows = []
+    outcomes: dict[str, RunOutcome] = {}
     for mode_name in mode_names:
         config = replace(base_config, mode=mode_name)
         link_path = out_dir / f"link_{mode_name}.jsonl"
-        run_linking(questions, config, repo, link_path, client=client)
-        report = run_evaluation(
+        outcomes[mode_name] = _link_questions(
+            questions, config, repo, link_path, client, shared=shared
+        )
+        report = _evaluate(
             link_path,
             questions,
             repo,
             check_execution=False,
             report_dir=out_dir / mode_name,
+            shared=shared,
         )
         overall = report.summary["overall"]
         scores = {column: overall[column] for column in GRID_COLUMNS[2:]}
@@ -638,4 +733,9 @@ def run_sweep(
         for row in grid_rows:
             rates = [_format_float(row[column]) for column in GRID_COLUMNS[3:]]
             writer.writerow([row["mode"], row["label"], row["count"], *rates])
-    return {"grid_csv": grid_csv, "grid_json": grid_json, "rows": grid_rows}
+    return {
+        "grid_csv": grid_csv,
+        "grid_json": grid_json,
+        "rows": grid_rows,
+        "outcomes": outcomes,
+    }

@@ -12,6 +12,7 @@ transcript, or a scripted test oracle.
 from __future__ import annotations
 
 from collections import deque
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -197,6 +198,13 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
     return [JoinPath(seq) for seq in sequences]
 
 
+PathMemo = dict[tuple[str, str], list[JoinPath]]
+
+# The memo that link() was given, set only while its build_candidates call
+# runs; build_candidates keeps its public signature and reads it from here.
+_path_memo: ContextVar[PathMemo | None] = ContextVar("_path_memo", default=None)
+
+
 def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
@@ -219,7 +227,9 @@ def build_candidates(
     Paths identical up to reversal are stored once, oriented as the
     lexicographically smaller sequence. A disconnected pair contributes
     both endpoints as standalone single-table candidates plus a diagnostic
-    instead of failing the question.
+    instead of failing the question. Inside a ``link`` call given a
+    ``path_memo``, each pair's paths are taken from that memo, or searched
+    and stored there.
     """
     src_list = _dedupe_keep_order(sources)
     dst_list = _dedupe_keep_order(destinations)
@@ -234,6 +244,7 @@ def build_candidates(
 
     diagnostics: list[str] = []
     collected: dict[tuple[str, ...], JoinPath] = {}
+    memo = _path_memo.get()
 
     def add(path: JoinPath) -> None:
         seq = path.sort_key()
@@ -244,7 +255,13 @@ def build_candidates(
         collected.setdefault(seq, path)
 
     for src, dst in product(src_list, dst_list):
-        found = all_shortest_paths(graph, src, dst)
+        if memo is None:
+            found = all_shortest_paths(graph, src, dst)
+        else:
+            found = memo.get((src, dst))
+            if found is None:
+                # Record-mode threads may race here; the first equal value wins.
+                found = memo.setdefault((src, dst), all_shortest_paths(graph, src, dst))
         if found:
             for path in found:
                 add(path)
@@ -385,17 +402,26 @@ def link(
     endpoints: EndpointOracle,
     path_oracle: PathOracle | None = None,
     evidence: str | None = None,
+    *,
+    path_memo: PathMemo | None = None,
 ) -> LinkResult:
     """Run the full linking pipeline for one question.
 
     ``endpoints`` nominates source and destination tables for the question;
     ``path_oracle`` resolves ties between multiple candidates. With a
     replayed transcript both are pure, making the whole call deterministic.
+    ``path_memo`` maps (src, dst) to the shortest paths between them in
+    ``graph``; the search reads and fills it, so a caller that links over
+    one graph several times searches each pair once.
     """
     extraction = endpoints(question, schema, evidence)
-    candidates = build_candidates(
-        graph, extraction.sources, extraction.destinations, config
-    )
+    token = _path_memo.set(path_memo)
+    try:
+        candidates = build_candidates(
+            graph, extraction.sources, extraction.destinations, config
+        )
+    finally:
+        _path_memo.reset(token)
     selector = None
     if path_oracle is not None:
         selector = lambda lines: path_oracle(question, lines)  # noqa: E731

@@ -293,6 +293,47 @@ class TestSweep:
         assert grid_lines[1].startswith("mode1,1-1,10,")
         assert grid_lines[2].startswith("mode7,force-union,10,")
 
+    def test_duplicate_modes_run_once(
+        self, runner, dataset_path, schema_root, mode_runs, tmp_path
+    ):
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--dataset", str(dataset_path),
+                "--schemas", str(schema_root),
+                "--modes", "mode7,force-union",
+                "--out-dir", str(tmp_path / "sweep"),
+                "--cache", str(mode_runs("mode7").cache_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.count("mode7 (force-union)") == 1
+        grid_lines = (
+            (tmp_path / "sweep" / "grid.csv").read_text(encoding="utf-8").splitlines()
+        )
+        assert len(grid_lines) == 2
+        assert len(read_rows(tmp_path / "sweep" / "link_mode7.jsonl")) == 10
+
+    def test_failed_rows_exit_with_2(
+        self, runner, dataset_path, schema_root, tmp_path
+    ):
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--dataset", str(dataset_path),
+                "--schemas", str(schema_root),
+                "--modes", "mode1,mode7",
+                "--out-dir", str(tmp_path / "sweep"),
+                "--cache", str(tmp_path / "empty_cache.jsonl"),
+                "--replay",
+            ],
+        )
+        assert result.exit_code == 2
+        assert "20 link row(s) failed" in result.output
+        assert "grid -> " in result.output
+
     def test_empty_mode_list_is_fatal(
         self, runner, dataset_path, schema_root, mode_runs, tmp_path
     ):

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 
 import schema_linker.jsonl
 
+from schema_linker import harness, pathfinder
 from schema_linker import (
     CachingClient,
     RunConfig,
@@ -35,7 +37,7 @@ from schema_linker.llm import (
 )
 from schema_linker.schema_model import Schema
 
-from conftest import read_rows
+from conftest import ALL_MODES, read_rows
 from reference_render import reference_render
 from toy_corpus import (
     CORPUS,
@@ -1171,3 +1173,179 @@ class TestRunSweep:
             "force-union",
         ]
         assert all(row["recall"] == 1.0 for row in result["rows"])
+
+    def test_duplicate_modes_run_once(self, questions, repo, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(
+            TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record"
+        )
+        base = RunConfig(cache_path=cache_path, cache_mode="record", workers=1)
+        result = run_sweep(
+            questions,
+            base,
+            repo,
+            tmp_path / "sweep",
+            modes=["mode7", "force-union", "mode1", "1-1"],
+            client=client,
+        )
+        assert [row["mode"] for row in result["rows"]] == ["mode7", "mode1"]
+        assert list(result["outcomes"]) == ["mode7", "mode1"]
+        grid_lines = result["grid_csv"].read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in grid_lines[1:]] == ["mode7", "mode1"]
+        assert len(read_rows(tmp_path / "sweep" / "link_mode7.jsonl")) == 10
+
+    def test_outcomes_report_each_mode(self, questions, repo, tmp_path):
+        base = RunConfig(cache_path=tmp_path / "empty.jsonl", cache_mode="replay")
+        result = run_sweep(
+            questions, base, repo, tmp_path / "sweep", modes=["mode1", "mode7"]
+        )
+        for mode in ("mode1", "mode7"):
+            outcome = result["outcomes"][mode]
+            assert outcome.path == tmp_path / "sweep" / f"link_{mode}.jsonl"
+            assert (outcome.completed, outcome.skipped, outcome.failed) == (0, 0, 10)
+            rows = read_rows(outcome.path)
+            assert {row["error"]["code"] for row in rows} == {"CACHE_MISS"}
+        grid = json.loads(result["grid_json"].read_text(encoding="utf-8"))
+        assert all("outcomes" not in row and "failed" not in row for row in grid)
+
+
+class RequestLog(CachingClient):
+    """A client that keeps every request it is asked to complete."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def complete(self, request):
+        self.sent.append(request)
+        return super().complete(request)
+
+
+class TestSweepSharing:
+    """A sweep does mode-independent work once per question."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory, questions, repo):
+        """A record-mode sweep of every mode; question 3's endpoints degrade."""
+        base = tmp_path_factory.mktemp("shared_sweep")
+        cache_path = base / "cache.jsonl"
+        client = RequestLog(
+            TranscriptCache(cache_path),
+            backend=ScriptedBackend(endpoint_overrides={3: "no tables here"}),
+            mode="record",
+        )
+        config = RunConfig(cache_path=cache_path, cache_mode="record", workers=1)
+        result = run_sweep(questions, config, repo, base / "sweep", client=client)
+        return SimpleNamespace(
+            dir=base / "sweep", cache_path=cache_path, client=client, result=result
+        )
+
+    def test_one_endpoint_request_per_question(self, recorded):
+        sent = by_prompt(recorded.client.sent, PromptId.SRC_DST)
+        # Question 3's unusable reply adds its one nudged retry.
+        assert len(sent) == 11
+        assert sum(RETRY_NUDGE in request.user_text for request in sent) == 1
+        assert len({request.user_text for request in sent}) == 11
+        assert all(o.failed == 0 for o in recorded.result["outcomes"].values())
+        rows = read_rows(recorded.dir / "link_mode4.jsonl")
+        assert [row["degraded"] for row in rows].count(True) == 1
+
+    def test_resumed_sweep_asks_once_per_question(self, recorded, questions, repo, tmp_path):
+        out_dir = tmp_path / "sweep"
+        out_dir.mkdir()
+        for mode in ("mode1", "mode2", "mode3"):
+            name = f"link_{mode}.jsonl"
+            (out_dir / name).write_bytes((recorded.dir / name).read_bytes())
+        client = RequestLog(TranscriptCache(recorded.cache_path), mode="replay")
+        config = RunConfig(cache_path=recorded.cache_path)
+        result = run_sweep(questions, config, repo, out_dir, client=client)
+        assert len(by_prompt(client.sent, PromptId.SRC_DST)) == 11
+        skipped = {mode: o.skipped for mode, o in result["outcomes"].items()}
+        assert skipped == {mode: 10 if mode in ALL_MODES[:3] else 0 for mode in ALL_MODES}
+
+    def test_complete_sweep_asks_nothing(self, recorded, questions, repo, tmp_path):
+        out_dir = tmp_path / "sweep"
+        out_dir.mkdir()
+        for path in recorded.dir.glob("link_*.jsonl"):
+            (out_dir / path.name).write_bytes(path.read_bytes())
+        client = RequestLog(TranscriptCache(recorded.cache_path), mode="replay")
+        config = RunConfig(cache_path=recorded.cache_path)
+        run_sweep(questions, config, repo, out_dir, client=client)
+        assert client.sent == []
+
+    def test_searches_and_gold_extraction_run_once(
+        self, recorded, questions, repo, tmp_path, monkeypatch
+    ):
+        searched, extracted = Counter(), Counter()
+        real_search = pathfinder.all_shortest_paths
+        real_extract = harness.extract_tables
+
+        def search(graph, src, dst):
+            searched[src, dst] += 1
+            return real_search(graph, src, dst)
+
+        def extract(sql, schema):
+            extracted[sql] += 1
+            return real_extract(sql, schema)
+
+        monkeypatch.setattr(pathfinder, "all_shortest_paths", search)
+        monkeypatch.setattr(harness, "extract_tables", extract)
+        client = replay_client(recorded.cache_path)
+        config = RunConfig(cache_path=recorded.cache_path)
+        run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        assert set(searched.values()) == {1}
+        # Question 3 degrades to every table on both sides.
+        assert len(searched) > len(questions)
+        assert set(extracted.values()) == {1}
+        assert len(extracted) == len(questions)
+
+    def test_many_record_workers_share_safely(self, recorded, questions, repo, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        client = RequestLog(
+            TranscriptCache(cache_path),
+            backend=ScriptedBackend(endpoint_overrides={3: "no tables here"}),
+            mode="record",
+        )
+        config = RunConfig(cache_path=cache_path, cache_mode="record", workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(by_prompt(client.sent, PromptId.SRC_DST)) == 11
+        files = sorted(recorded.dir.rglob("*.*"))
+        assert len(files) == 23  # 7 link files, 7 x 2 reports, grid.csv, grid.json
+        for path in files:
+            name = path.relative_to(recorded.dir)
+            assert (tmp_path / "sweep" / name).read_bytes() == path.read_bytes(), name
+
+    def test_sweep_matches_standalone_runs(self, recorded, questions, repo, tmp_path):
+        # Question 11 has no transcript, so replay fails its row in every
+        # mode; question 12 repeats question 1's text over unparseable gold.
+        asked = list(questions) + [
+            Question("11", DB_ID, "Which supplier is the oldest?", gold_sql=CORPUS[3]["SQL"]),
+            Question("12", DB_ID, CORPUS[0]["question"], gold_sql="SELECT 1"),
+        ]
+        config = RunConfig(cache_path=recorded.cache_path)
+        swept = tmp_path / "sweep"
+        result = run_sweep(
+            asked, config, repo, swept, client=replay_client(recorded.cache_path)
+        )
+        alone = tmp_path / "alone"
+        for mode in ALL_MODES:
+            link_path = alone / f"link_{mode}.jsonl"
+            outcome = run_linking(
+                asked,
+                replace(config, mode=mode),
+                repo,
+                link_path,
+                client=replay_client(recorded.cache_path),
+            )
+            assert outcome == replace(result["outcomes"][mode], path=link_path)
+            assert outcome.failed == 1
+            run_evaluation(link_path, asked, repo, report_dir=alone / mode)
+            for name in (f"link_{mode}.jsonl", f"{mode}/summary.json", f"{mode}/per_question.csv"):
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
+        summary = json.loads((swept / "mode7" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["extraction_failures"]["count"] == 1
