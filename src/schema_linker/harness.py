@@ -413,7 +413,10 @@ def _link_questions(
     return _run_rows(items, out_path, work, error_row, "error", client, config)
 
 
-_SQL_FENCE_RE = re.compile(r"```(?:sql)?[ \t]*\n?(.*?)```", re.DOTALL | re.IGNORECASE)
+# Drops the language tag on the opening fence line, and the sql of an inline ```sql ...```.
+_SQL_FENCE_RE = re.compile(
+    r"```(?:[\w.+-]*[ \t\r]*\n|sql\b)?(.*?)```", re.DOTALL | re.IGNORECASE
+)
 _SQL_STATEMENT_RE = re.compile(r"\b(?:SELECT|WITH)\b.*?(?=;|\Z)", re.DOTALL | re.IGNORECASE)
 
 

@@ -22,8 +22,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
 
-import requests
-
 from .errors import (
     BackendError,
     CacheMissError,
@@ -411,10 +409,11 @@ BACKOFF_S = 1.0  # doubled after each further failed attempt
 class HttpCompletionClient:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Network and 5xx failures are retried with exponential backoff; other
-    HTTP errors fail immediately. Token usage reported by the backend is
-    accumulated per calling thread, and pop_usage() drains the calling
-    thread's total, so concurrent rows never see each other's tokens.
+    Network failures, 429 and 5xx are retried with exponential backoff, or
+    after a Retry-After given in seconds; other statuses fail immediately.
+    Token usage reported by the backend is accumulated per calling thread,
+    and pop_usage() drains the calling thread's total, so concurrent rows
+    never see each other's tokens.
     """
 
     def __init__(self, api_url: str | None = None, api_key: str | None = None):
@@ -425,6 +424,10 @@ class HttpCompletionClient:
         self._usage = threading.local()  # its attributes are one thread's totals
 
     def complete(self, request: CompletionRequest) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = {
             "model": request.model_name,
             "messages": [
@@ -436,27 +439,36 @@ class HttpCompletionClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        post = urllib.request.Request(self.api_url, json.dumps(body).encode(), headers)
         last_error: Exception | None = None
+        wait = BACKOFF_S  # before the next attempt; a Retry-After replaces it once
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
+                time.sleep(wait)
+                wait = BACKOFF_S * 2**attempt
             try:
-                response = requests.post(
-                    self.api_url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
-                )
-            except requests.RequestException as exc:
+                try:
+                    response = urllib.request.urlopen(post, timeout=REQUEST_TIMEOUT_S)
+                except urllib.error.HTTPError as exc:  # an OSError too: catch it first
+                    response = exc  # a non-2xx status; its body is read below
+                with response:
+                    status, payload = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:  # also a truncated reply
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = BackendError(f"server error {response.status_code}")
+            if status == 429 or status >= 500:
+                last_error = BackendError(f"status {status}")
+                retry_after = response.headers.get("Retry-After", "").strip()
+                if retry_after.isdecimal():  # the HTTP-date form gets the usual backoff
+                    wait = min(float(retry_after), REQUEST_TIMEOUT_S)
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise BackendError(
-                    f"request failed with status {response.status_code}: "
-                    f"{response.text[:200]}"
+                    f"request failed with status {status}: "
+                    f"{payload.decode('utf-8', 'replace')[:200]}"
                 )
             try:
-                data = response.json()
+                data = json.loads(payload)
                 text = data["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc

@@ -342,9 +342,13 @@ class TestRunLinking:
 
 class TestExtractSqlReply:
     def test_fenced_sql_block(self):
-        assert (
-            extract_sql_reply("Sure:\n```sql\nSELECT 1\n```\nDone.") == "SELECT 1"
-        )
+        for reply in (
+            "Sure:\n```sql\nSELECT 1\n```\nDone.",
+            "```sqlite\nSELECT 1\n```",
+            "```SQLite\r\nSELECT 1\r\n```",
+            "```sql SELECT 1```",
+        ):
+            assert extract_sql_reply(reply) == "SELECT 1", reply
 
     def test_fence_without_language_tag(self):
         assert extract_sql_reply("```\nSELECT 2\n```") == "SELECT 2"

@@ -1,7 +1,11 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -428,27 +432,41 @@ class TestPathOracle:
             LlmPathOracle(client)("q", ["path_id=1: a"])
 
 
+HANG = object()  # a scripted response that never comes
+
+
 @pytest.fixture
 def status_endpoint():
-    """Start a chat-completions server answering with scripted HTTP statuses.
+    """Start a chat-completions server answering with scripted responses.
 
-    Each request takes the next status from the list and the last one
-    repeats; a 200 carries the reply "ok". ``hits`` counts the requests.
+    Each request takes the next response from the list and the last one
+    repeats. A response is an HTTP status, whose 200 carries the reply "ok";
+    a ``(status, headers, body)`` triple; or ``HANG``, which holds the
+    request open until the test ends. ``hits`` counts the requests.
     """
     servers = []
+    release = threading.Event()
 
-    def start(*statuses: int):
+    def start(*responses):
         hits = []
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 self.rfile.read(int(self.headers["Content-Length"]))
                 hits.append(self.path)
-                status = statuses[min(len(hits), len(statuses)) - 1]
-                payload = {"choices": [{"message": {"content": "ok"}}]}
-                blob = json.dumps(payload if status == 200 else {"error": status}).encode()
+                response = responses[min(len(hits), len(responses)) - 1]
+                if response is HANG:
+                    release.wait(timeout=30)
+                    return
+                if isinstance(response, int):
+                    payload = {"choices": [{"message": {"content": "ok"}}]}
+                    body = payload if response == 200 else {"error": response}
+                    response = (response, {}, json.dumps(body).encode())
+                status, headers, blob = response
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(blob)))
                 self.end_headers()
                 self.wfile.write(blob)
@@ -458,11 +476,15 @@ def status_endpoint():
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         servers.append(server)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll keeps shutdown() from waiting the default half second.
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         return HttpCompletionClient(url), hits
 
     yield start
+    release.set()
     for server in servers:
         server.shutdown()
         server.server_close()
@@ -505,3 +527,70 @@ class TestHttpRetry:
         with pytest.raises(BackendError, match="unreachable after 3 attempts"):
             client.complete(req())
         assert sleeps == [1.0, 2.0]  # one backoff before each retry
+
+    @pytest.mark.parametrize(
+        "headers, waited",
+        [
+            ({"Retry-After": "7"}, [7.0]),
+            ({}, [1.0]),
+            ({"Retry-After": "600"}, [120.0]),  # capped at the request timeout
+            ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, [1.0]),
+            ({"Retry-After": "-3"}, [1.0]),
+        ],
+        ids=["seconds", "absent", "capped", "http-date", "negative"],
+    )
+    def test_rate_limit_is_retried(self, status_endpoint, sleeps, headers, waited):
+        client, hits = status_endpoint((429, headers, b"{}"), 200)
+        assert client.complete(req()) == "ok"
+        assert len(hits) == 2
+        assert sleeps == waited
+
+    def test_rate_limit_every_attempt_gives_up(self, status_endpoint, sleeps):
+        client, hits = status_endpoint((429, {"Retry-After": "5"}, b"{}"))
+        with pytest.raises(BackendError, match="unreachable after 3 attempts: status 429"):
+            client.complete(req())
+        assert len(hits) == 3
+        assert sleeps == [5.0, 5.0]
+
+    def test_success_status_other_than_200_fails_fast(self, status_endpoint, sleeps):
+        client, hits = status_endpoint(202, 200)
+        with pytest.raises(BackendError, match="status 202"):
+            client.complete(req())
+        assert len(hits) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("body", [b"not json", b'{"choices": []}'])
+    def test_malformed_body_fails_fast(self, status_endpoint, sleeps, body):
+        client, hits = status_endpoint((200, {}, body))
+        with pytest.raises(BackendError, match="malformed"):
+            client.complete(req())
+        assert len(hits) == 1
+        assert sleeps == []
+
+    def test_timeout_is_retried(self, status_endpoint, sleeps, monkeypatch):
+        monkeypatch.setattr(schema_linker.llm, "REQUEST_TIMEOUT_S", 0.2)
+        client, hits = status_endpoint(HANG)
+        with pytest.raises(BackendError, match="unreachable after 3 attempts: .*timed out"):
+            client.complete(req())
+        assert len(hits) == 3
+        assert sleeps == [1.0, 2.0]
+
+
+def test_import_loads_no_http_stack():
+    """Replay never sends a request, so importing the package must not
+    load an HTTP client; record mode imports one when it posts."""
+    code = (
+        "import sys, schema_linker, schema_linker.cli\n"
+        "print(sorted(m for m in ('requests', 'urllib.request', 'http.client')"
+        " if m in sys.modules))"
+    )
+    src = str(Path(schema_linker.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
