@@ -1,7 +1,7 @@
 """Command-line interface for dataset-scale runs.
 
-Exit codes: 0 on success, 1 on a fatal error (bad arguments, unreadable
-inputs), 2 when the run finished but some rows failed.
+Exit codes: 0 on success, 1 on a fatal error (unreadable inputs), 2 when
+the run finished but some rows failed, or on a usage error.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ workers_option = click.option(
     "--workers",
     default=RunConfig.workers,
     show_default=True,
-    type=int,
+    type=click.IntRange(min=1),
     help="Questions run at once on threads with --record. Replay runs one "
     "question at a time on the calling thread. Rows are written in question order.",
 )

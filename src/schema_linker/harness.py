@@ -47,7 +47,6 @@ from .pathfinder import (
     MODE_LABELS,
     MODE_PRESETS,
     EndpointOracle,
-    PathMemo,
     canonical_mode_name,
     link,
     preset,
@@ -103,10 +102,12 @@ class RunConfig:
 
 
 class SchemaRepository:
-    """Loads and caches schemas and their augmented graphs by database id.
+    """Loads and caches schemas, their augmented graphs and gold table sets.
 
     A database directory supplies either ``<db_id>.sqlite`` or, failing
-    that, ``schema.json``; the SQLite file wins when both exist.
+    that, ``schema.json``; the SQLite file wins when both exist. Everything
+    is kept for the repository's lifetime, including the shortest paths
+    that linking searches on each graph (``SchemaGraph.path_cache``).
     """
 
     def __init__(self, root: str | Path):
@@ -114,6 +115,7 @@ class SchemaRepository:
         self._lock = threading.Lock()
         self._schemas: dict[str, Schema] = {}
         self._graphs: dict[str, SchemaGraph] = {}
+        self._gold: dict[tuple[str, str], frozenset[str]] = {}
 
     def database_path(self, db_id: str) -> Path | None:
         path = self.root / db_id / f"{db_id}.sqlite"
@@ -155,6 +157,18 @@ class SchemaRepository:
         with self._lock:
             self._graphs.setdefault(db_id, built)
             return self._graphs[db_id]
+
+    def gold_tables(self, question: Question) -> frozenset[str]:
+        """The tables that ``question``'s gold SQL reads, extracted once per query.
+
+        A gold query that cannot be parsed raises ParseError on every call.
+        """
+        key = (question.db_id, question.gold_sql)
+        found = self._gold.get(key)
+        if found is None:
+            tables = extract_tables(question.gold_sql, self.schema(question.db_id)).tables
+            found = self._gold.setdefault(key, tables)
+        return found
 
 
 def ingest_dataset(
@@ -278,7 +292,7 @@ def _run_rows(
     latest = _latest_rows(out_path)
     done = {question_id for question_id, row in latest.items() if row.get(error_field) is None}
     todo = [item for question_id, item in items.items() if question_id not in done]
-    workers = 1 if client.mode is CacheMode.REPLAY else max(1, config.workers)
+    workers = 1 if client.mode is CacheMode.REPLAY else config.workers
     failed = append_rows(out_path, todo, work, on_error, error_field, workers)
     return RunOutcome(
         path=out_path,
@@ -286,42 +300,6 @@ def _run_rows(
         skipped=len(items) - len(todo),
         failed=failed,
     )
-
-
-class _SweepMemo:
-    """Mode-independent results that the modes of one sweep share.
-
-    Holds each question's endpoint extraction and gold table set, keyed by
-    question_id, and each database's shortest paths by (src, dst). Only
-    successes are stored, so a failure repeats in every mode as it would
-    in a standalone run. Record-mode worker threads may compute one key
-    twice; setdefault keeps the first of the two equal values.
-    """
-
-    def __init__(self) -> None:
-        self._extractions: dict[str, EndpointExtraction] = {}
-        self._gold: dict[str, frozenset[str]] = {}
-        self._paths: dict[str, PathMemo] = {}
-
-    def endpoints(self, question_id: str, oracle: EndpointOracle) -> EndpointOracle:
-        """``oracle``, whose first result for ``question_id`` is reused."""
-
-        def extract(text: str, schema: Schema, evidence: str | None) -> EndpointExtraction:
-            found = self._extractions.get(question_id)
-            if found is None:
-                found = self._extractions.setdefault(question_id, oracle(text, schema, evidence))
-            return found
-
-        return extract
-
-    def paths(self, db_id: str) -> PathMemo:
-        return self._paths.setdefault(db_id, {})
-
-    def gold_tables(self, question: Question, repo: SchemaRepository) -> frozenset[str]:
-        found = self._gold.get(question.question_id)
-        if found is None:
-            found = self._gold.setdefault(question.question_id, _gold_tables(question, repo))
-        return found
 
 
 def run_linking(
@@ -338,7 +316,9 @@ def run_linking(
     inline, do not stop the run, and are retried by the next run. A row
     carries the backend token usage its own requests reported.
     """
-    return _link_questions(questions, config, repo, Path(out_path), client)
+    client = client if client is not None else config.build_client()
+    endpoints = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
+    return _link_questions(questions, config, repo, Path(out_path), client, endpoints)
 
 
 def _link_questions(
@@ -346,13 +326,10 @@ def _link_questions(
     config: RunConfig,
     repo: SchemaRepository,
     out_path: Path,
-    client: CachingClient | None,
-    *,
-    shared: _SweepMemo | None = None,
+    client: CachingClient,
+    endpoints: EndpointOracle,
 ) -> RunOutcome:
-    """run_linking, taking mode-independent results from ``shared`` when given."""
-    client = client if client is not None else config.build_client()
-    endpoint_oracle = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
+    """run_linking, nominating each question's endpoints with ``endpoints``."""
     path_oracle = LlmPathOracle(client, config.linker_model, config.link_temperature)
     mode_name = canonical_mode_name(config.mode)
     mode = preset(mode_name)
@@ -371,10 +348,6 @@ def _link_questions(
         client.pop_usage()  # drop what anything before this row left behind
         schema = repo.schema(question.db_id)
         graph = repo.graph(question.db_id)
-        endpoints, path_memo = endpoint_oracle, None
-        if shared is not None:
-            endpoints = shared.endpoints(question.question_id, endpoint_oracle)
-            path_memo = shared.paths(question.db_id)
         result = link(
             question.text,
             schema,
@@ -383,7 +356,6 @@ def _link_questions(
             endpoints,
             path_oracle,
             evidence=question.evidence,
-            path_memo=path_memo,
         )
         row = {
             **question_fields(question),
@@ -413,9 +385,10 @@ def _link_questions(
     return _run_rows(items, out_path, work, error_row, "error", client, config)
 
 
-# Drops the language tag on the opening fence line, and the sql of an inline ```sql ...```.
+# Drops the language tag on the opening fence line, and the tag of an inline
+# ```sql ...``` or ```sqlite ...```.
 _SQL_FENCE_RE = re.compile(
-    r"```(?:[\w.+-]*[ \t\r]*\n|sql\b)?(.*?)```", re.DOTALL | re.IGNORECASE
+    r"```(?:[\w.+-]*[ \t\r]*\n|sql(?:ite)?\b)?(.*?)```", re.DOTALL | re.IGNORECASE
 )
 _SQL_STATEMENT_RE = re.compile(r"\b(?:SELECT|WITH)\b.*?(?=;|\Z)", re.DOTALL | re.IGNORECASE)
 
@@ -546,34 +519,11 @@ def run_evaluation(
     query. Questions whose gold SQL cannot be parsed are excluded from the
     schema aggregates and reported separately, as are gold queries that fail
     to execute when execution checking is on. Report output is byte-stable
-    for a given run output.
+    for a given run output. Gold table sets are kept by ``repo``.
     """
-    return _evaluate(
-        Path(run_output),
-        questions,
-        repo,
-        check_execution=check_execution,
-        report_dir=Path(report_dir),
-    )
-
-
-def _gold_tables(question: Question, repo: SchemaRepository) -> frozenset[str]:
-    return extract_tables(question.gold_sql, repo.schema(question.db_id)).tables
-
-
-def _evaluate(
-    run_output: Path,
-    questions: Sequence[Question],
-    repo: SchemaRepository,
-    *,
-    check_execution: bool,
-    report_dir: Path,
-    shared: _SweepMemo | None = None,
-) -> EvaluationReport:
-    """run_evaluation, taking gold table sets from ``shared`` when given."""
-    gold_tables = _gold_tables if shared is None else shared.gold_tables
+    report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    rows = _latest_rows(run_output)
+    rows = _latest_rows(Path(run_output))
 
     extraction_failures: list[dict] = []
     missing_rows: list[str] = []
@@ -584,7 +534,7 @@ def _evaluate(
             missing_rows.append(question.question_id)
             continue
         try:
-            gold = gold_tables(question, repo)
+            gold = repo.gold_tables(question)
         except ParseError as exc:
             extraction_failures.append(
                 {"question_id": question.question_id, "reason": str(exc)}
@@ -691,9 +641,10 @@ def run_sweep(
     grid.csv/grid.json comparing schema metrics across modes. ``modes``
     defaults to all seven; a mode named twice, aliases included, runs once
     at its first place, and an empty list is a ValueError. Each question's
-    source/destination request, its shortest-path searches and its gold
-    table set are shared by all modes; the first mode that links a question
-    makes the request, so a mode whose link file is complete asks nothing.
+    source/destination request is shared by all modes of this call; the
+    first mode that links a question makes the request, so a mode whose
+    link file is complete asks nothing. Shortest paths and gold table sets
+    are kept by ``repo``.
     The result holds each mode's linking RunOutcome under "outcomes".
     """
     names = MODE_PRESETS if modes is None else modes
@@ -703,7 +654,16 @@ def run_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else base_config.build_client()
-    shared = _SweepMemo()
+    oracle = LlmEndpointOracle(client, base_config.linker_model, base_config.link_temperature)
+    extractions: dict[tuple[str, str, str | None], EndpointExtraction] = {}
+
+    def endpoints(question: str, schema: Schema, evidence: str | None) -> EndpointExtraction:
+        key = (question, schema.database_id, evidence)
+        found = extractions.get(key)
+        if found is None:
+            # Record-mode threads may race here; the first equal value wins.
+            found = extractions.setdefault(key, oracle(question, schema, evidence))
+        return found
 
     grid_rows = []
     outcomes: dict[str, RunOutcome] = {}
@@ -711,16 +671,9 @@ def run_sweep(
         config = replace(base_config, mode=mode_name)
         link_path = out_dir / f"link_{mode_name}.jsonl"
         outcomes[mode_name] = _link_questions(
-            questions, config, repo, link_path, client, shared=shared
+            questions, config, repo, link_path, client, endpoints
         )
-        report = _evaluate(
-            link_path,
-            questions,
-            repo,
-            check_execution=False,
-            report_dir=out_dir / mode_name,
-            shared=shared,
-        )
+        report = run_evaluation(link_path, questions, repo, report_dir=out_dir / mode_name)
         overall = report.summary["overall"]
         scores = {column: overall[column] for column in GRID_COLUMNS[2:]}
         grid_rows.append({"mode": mode_name, "label": MODE_LABELS[mode_name], **scores})

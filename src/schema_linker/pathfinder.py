@@ -12,7 +12,6 @@ transcript, or a scripted test oracle.
 from __future__ import annotations
 
 from collections import deque
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -198,13 +197,6 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
     return [JoinPath(seq) for seq in sequences]
 
 
-PathMemo = dict[tuple[str, str], list[JoinPath]]
-
-# The memo that link() was given, set only while its build_candidates call
-# runs; build_candidates keeps its public signature and reads it from here.
-_path_memo: ContextVar[PathMemo | None] = ContextVar("_path_memo", default=None)
-
-
 def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
     out: list[str] = []
     seen: set[str] = set()
@@ -227,9 +219,8 @@ def build_candidates(
     Paths identical up to reversal are stored once, oriented as the
     lexicographically smaller sequence. A disconnected pair contributes
     both endpoints as standalone single-table candidates plus a diagnostic
-    instead of failing the question. Inside a ``link`` call given a
-    ``path_memo``, each pair's paths are taken from that memo, or searched
-    and stored there.
+    instead of failing the question. Each pair is searched once per graph:
+    its paths are kept in ``graph.path_cache``.
     """
     src_list = _dedupe_keep_order(sources)
     dst_list = _dedupe_keep_order(destinations)
@@ -244,7 +235,7 @@ def build_candidates(
 
     diagnostics: list[str] = []
     collected: dict[tuple[str, ...], JoinPath] = {}
-    memo = _path_memo.get()
+    cache = graph.path_cache
 
     def add(path: JoinPath) -> None:
         seq = path.sort_key()
@@ -255,13 +246,11 @@ def build_candidates(
         collected.setdefault(seq, path)
 
     for src, dst in product(src_list, dst_list):
-        if memo is None:
-            found = all_shortest_paths(graph, src, dst)
-        else:
-            found = memo.get((src, dst))
-            if found is None:
-                # Record-mode threads may race here; the first equal value wins.
-                found = memo.setdefault((src, dst), all_shortest_paths(graph, src, dst))
+        key = (src.casefold(), dst.casefold())
+        found = cache.get(key)
+        if found is None:
+            # Record-mode threads may race here; the first equal value wins.
+            found = cache.setdefault(key, tuple(all_shortest_paths(graph, src, dst)))
         if found:
             for path in found:
                 add(path)
@@ -402,26 +391,17 @@ def link(
     endpoints: EndpointOracle,
     path_oracle: PathOracle | None = None,
     evidence: str | None = None,
-    *,
-    path_memo: PathMemo | None = None,
 ) -> LinkResult:
     """Run the full linking pipeline for one question.
 
     ``endpoints`` nominates source and destination tables for the question;
     ``path_oracle`` resolves ties between multiple candidates. With a
     replayed transcript both are pure, making the whole call deterministic.
-    ``path_memo`` maps (src, dst) to the shortest paths between them in
-    ``graph``; the search reads and fills it, so a caller that links over
-    one graph several times searches each pair once.
     """
     extraction = endpoints(question, schema, evidence)
-    token = _path_memo.set(path_memo)
-    try:
-        candidates = build_candidates(
-            graph, extraction.sources, extraction.destinations, config
-        )
-    finally:
-        _path_memo.reset(token)
+    candidates = build_candidates(
+        graph, extraction.sources, extraction.destinations, config
+    )
     selector = None
     if path_oracle is not None:
         selector = lambda lines: path_oracle(question, lines)  # noqa: E731

@@ -207,6 +207,11 @@ class SchemaGraph:
     def _edge_map(self) -> dict[tuple[str, str], GraphEdge]:
         return {_pair_key(*edge.tables): edge for edge in self.edges}
 
+    @cached_property
+    def path_cache(self) -> dict[tuple[str, str], tuple]:
+        """Shortest paths by casefolded (src, dst), filled by ``build_candidates``."""
+        return {}
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -306,7 +306,8 @@ def test_8_record_mode_smoke_against_live_style_endpoint(
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    Thread(target=server.serve_forever, daemon=True).start()
+    # A short poll keeps shutdown() from waiting the default half second.
+    Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
     port = server.server_address[1]
     monkeypatch.setenv(
         "SCHEMA_LINKER_API_URL", f"http://127.0.0.1:{port}/v1/chat/completions"

@@ -121,6 +121,26 @@ class TestLink:
         assert result.exit_code == 2
         assert "mode99" in result.stderr
 
+    @pytest.mark.parametrize("command", ["link", "generate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(
+        self, runner, dataset_path, schema_root, tmp_path, command, workers
+    ):
+        out = tmp_path / "out"
+        inputs = ["--dataset", str(dataset_path), "--schemas", str(schema_root)]
+        args = {
+            "link": [*inputs, "--out", str(out)],
+            "generate": ["--in", str(tmp_path / "link.jsonl"), "--out", str(out)],
+            "sweep": [*inputs, "--out-dir", str(out)],
+        }[command]
+        result = runner.invoke(
+            main,
+            [command, *args, "--cache", str(tmp_path / "cache.jsonl"), "--workers", workers],
+        )
+        assert result.exit_code == 2
+        assert "--workers" in result.stderr
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_replay_generation(self, runner, golden_pipeline, tmp_path):

@@ -347,6 +347,7 @@ class TestExtractSqlReply:
             "```sqlite\nSELECT 1\n```",
             "```SQLite\r\nSELECT 1\r\n```",
             "```sql SELECT 1```",
+            "```sqlite SELECT 1```",
         ):
             assert extract_sql_reply(reply) == "SELECT 1", reply
 
@@ -676,7 +677,10 @@ def usage_endpoint():
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         servers.append(server)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll keeps shutdown() from waiting the default half second.
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
         return SimpleNamespace(url=url, spent=spent)
 
@@ -1294,14 +1298,26 @@ class TestSweepSharing:
 
         monkeypatch.setattr(pathfinder, "all_shortest_paths", search)
         monkeypatch.setattr(harness, "extract_tables", extract)
+        # The session repository already holds paths and gold sets from
+        # earlier tests; a fresh one starts with none.
+        fresh = SchemaRepository(repo.root)
         client = replay_client(recorded.cache_path)
         config = RunConfig(cache_path=recorded.cache_path)
-        run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        run_sweep(questions, config, fresh, tmp_path / "sweep", client=client)
         assert set(searched.values()) == {1}
         # Question 3 degrades to every table on both sides.
         assert len(searched) > len(questions)
         assert set(extracted.values()) == {1}
         assert len(extracted) == len(questions)
+
+        # The repository keeps both, so later runs over it search and extract nothing.
+        first_searched, first_extracted = Counter(searched), Counter(extracted)
+        run_sweep(questions, config, fresh, tmp_path / "again", client=client)
+        link_path = tmp_path / "alone" / "link.jsonl"
+        run_linking(questions, replace(config, mode="mode4"), fresh, link_path, client=client)
+        run_evaluation(link_path, questions, fresh, report_dir=tmp_path / "alone" / "report")
+        assert searched == first_searched
+        assert extracted == first_extracted
 
     def test_many_record_workers_share_safely(self, recorded, questions, repo, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
