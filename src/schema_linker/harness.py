@@ -286,14 +286,18 @@ def _run_rows(
 
     An item is done when its latest row has ``error_field`` None. Replay
     runs on the calling thread, since it is pure computation under the
-    interpreter lock; record mode runs ``config.workers`` threads.
+    interpreter lock; record mode runs ``config.workers`` threads. The
+    client's cache is closed on return, so its file is open only while
+    rows are appended.
     """
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     latest = _latest_rows(out_path)
     done = {question_id for question_id, row in latest.items() if row.get(error_field) is None}
     todo = [item for question_id, item in items.items() if question_id not in done]
     workers = 1 if client.mode is CacheMode.REPLAY else config.workers
-    failed = append_rows(out_path, todo, work, on_error, error_field, workers)
+    try:
+        failed = append_rows(out_path, todo, work, on_error, error_field, workers)
+    finally:
+        client.cache.close()
     return RunOutcome(
         path=out_path,
         completed=len(todo) - failed,

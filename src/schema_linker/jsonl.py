@@ -3,8 +3,9 @@
 A run killed while writing can leave its last line half written, with no
 trailing newline. Readers skip such a line with a warning, and writers cut
 the file back to its last complete line before they append. An unreadable
-line anywhere else is corruption and still fails the read. ``append_rows``
-is the one writer of run outputs.
+line anywhere else is corruption and still fails the read.
+``JsonlAppender`` is the one writer of a line: ``append_rows`` writes run
+outputs through it, and the transcript cache its records.
 """
 
 from __future__ import annotations
@@ -80,6 +81,31 @@ def repair_tail(path: Path) -> None:
             handle.write(b"\n")
 
 
+class JsonlAppender:
+    """Appends one flushed JSON record per line to path; close it, or use ``with``.
+
+    Opening makes the parent directory and cuts a torn final line first.
+    """
+
+    def __init__(self, path: Path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        repair_tail(path)
+        self._sink = path.open("a", encoding="utf-8")
+
+    def write(self, record: dict) -> None:
+        self._sink.write(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n")
+        self._sink.flush()
+
+    def close(self) -> None:
+        self._sink.close()
+
+    def __enter__(self) -> "JsonlAppender":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def append_rows(
     path: Path,
     items: Sequence[T],
@@ -102,12 +128,10 @@ def append_rows(
         except Exception as exc:  # recorded inline; the run continues
             return on_error(item, exc)
 
-    repair_tail(path)
     failed = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with path.open("a", encoding="utf-8") as sink, pool:
+    with JsonlAppender(path) as sink, pool:
         for row in pool.map(row_for, items) if workers > 1 else map(row_for, items):
             failed += row.get(error_field) is not None
-            sink.write(json.dumps(row, ensure_ascii=True, sort_keys=True) + "\n")
-            sink.flush()
+            sink.write(row)
     return failed

@@ -29,7 +29,7 @@ from .errors import (
     OutOfRangeError,
     ReplyParseError,
 )
-from .jsonl import read_jsonl, repair_tail
+from .jsonl import JsonlAppender, read_jsonl
 from .schema_model import Schema
 from .sql_analysis import render_schema
 
@@ -356,7 +356,10 @@ class CompletionClient(Protocol):
 
 
 class TranscriptCache:
-    """Append-only JSON-lines store of request digests and replies."""
+    """Append-only JSON-lines store of request digests and replies.
+
+    The first ``put`` opens the file, and it stays open until ``close``.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -365,7 +368,7 @@ class TranscriptCache:
             record["digest"]: record["reply"]
             for record in read_jsonl(self.path, CacheMissError, "cache line")
         }
-        self._tail_repaired = False
+        self._appender: JsonlAppender | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -374,8 +377,8 @@ class TranscriptCache:
         with self._lock:
             return self._entries.get(digest)
 
-    def put(self, request: CompletionRequest, reply: str) -> None:
-        digest = request_digest(request)
+    def put(self, digest: str, request: CompletionRequest, reply: str) -> None:
+        """Store reply under ``digest``, which must be ``request_digest(request)``."""
         record = {
             "digest": digest,
             "model": request.model_name,
@@ -389,16 +392,15 @@ class TranscriptCache:
             if digest in self._entries:
                 return
             self._entries[digest] = reply
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if not self._tail_repaired:
-                repair_tail(self.path)
-                self._tail_repaired = True
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n")
+            if self._appender is None:
+                self._appender = JsonlAppender(self.path)
+            self._appender.write(record)
 
-    def records(self) -> list[dict]:
-        """Re-read the backing file; used for inspection and tests."""
-        return list(read_jsonl(self.path, CacheMissError, "cache line"))
+    def close(self) -> None:
+        with self._lock:
+            if self._appender is not None:
+                self._appender.close()
+                self._appender = None
 
 
 REQUEST_TIMEOUT_S = 120.0
@@ -533,7 +535,7 @@ class CachingClient:
         reply = self.backend.complete(request)
         with self._lock:
             self.backend_calls += 1
-        self.cache.put(request, reply)
+        self.cache.put(digest, request, reply)
         return reply
 
     def pop_usage(self) -> dict[str, int]:

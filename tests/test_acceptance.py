@@ -14,7 +14,6 @@ from threading import Thread
 
 from schema_linker import (
     RunConfig,
-    TranscriptCache,
     all_shortest_paths,
     build_candidates,
     preset,
@@ -135,7 +134,7 @@ def test_3_mode_semantics_on_scripted_transcripts(mode_runs):
     select_system = SYSTEM_PROMPTS[PromptId.PATH_SELECT]
     mode6_selects = [
         r
-        for r in TranscriptCache(mode_runs("mode6").cache_path).records()
+        for r in read_rows(mode_runs("mode6").cache_path)
         if r["system"] == select_system
     ]
     if not mode6_selects:
@@ -145,7 +144,7 @@ def test_3_mode_semantics_on_scripted_transcripts(mode_runs):
             failures.append("mode6 presented a union candidate to the selector")
     mode5_selects = [
         r
-        for r in TranscriptCache(mode_runs("mode5").cache_path).records()
+        for r in read_rows(mode_runs("mode5").cache_path)
         if r["system"] == select_system
     ]
     if mode5_selects:

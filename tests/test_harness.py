@@ -6,13 +6,14 @@ import threading
 from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import schema_linker.jsonl
 
-from schema_linker import harness, pathfinder
+from schema_linker import harness, llm, pathfinder
 from schema_linker import (
     CachingClient,
     RunConfig,
@@ -617,6 +618,40 @@ class TestRowRunner:
         assert (linked.failed, generated.failed) == (0, 0)
         assert as_set(read_rows(link_path)) == as_set(read_rows(golden_pipeline.link_path))
         assert as_set(read_rows(generated.path)) == as_set(read_rows(golden_pipeline.gen_path))
+
+    def test_record_digests_each_request_once_and_opens_the_cache_once_per_run(
+        self, questions, repo, tmp_path, monkeypatch
+    ):
+        cache_path = tmp_path / "cache.jsonl"
+        digested = []
+        real_digest = llm.request_digest
+        monkeypatch.setattr(
+            llm, "request_digest", lambda request: digested.append(request) or real_digest(request)
+        )
+        appends = []
+        real_open = Path.open
+
+        def tracking_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if path == cache_path and "a" in mode:
+                appends.append(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", tracking_open)
+        client = CachingClient(TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record")
+        config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=1)
+        link_path = tmp_path / "link.jsonl"
+        run_linking(questions, config, repo, link_path, client=client)
+        assert client.backend_calls == len(questions)
+        assert len(digested) == client.cache_hits + client.backend_calls
+        assert len(appends) == 1 and appends[0].closed
+
+        run_generation(link_path, config, client=client)
+        assert len(appends) == 2 and appends[1].closed
+        run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        assert 2 < len(appends) <= 2 + len(ALL_MODES)
+        assert all(handle.closed for handle in appends)
+        assert len(digested) == client.cache_hits + client.backend_calls
 
 
 FAILING_QUESTION = 3

@@ -36,6 +36,8 @@ from schema_linker.llm import (
 )
 from schema_linker.sql_analysis import render_schema
 
+from conftest import read_rows
+
 
 def req(model="m", system="s", user="u", temperature=0.2):
     return CompletionRequest(
@@ -240,27 +242,29 @@ class TestTranscriptCache:
         cache = TranscriptCache(path)
         request = req(user="hello")
         assert cache.get(request_digest(request)) is None
-        cache.put(request, "world")
+        cache.put(request_digest(request), request, "world")
         assert cache.get(request_digest(request)) == "world"
         reopened = TranscriptCache(path)
         assert reopened.get(request_digest(request)) == "world"
         assert len(reopened) == 1
+        cache.close()
 
     def test_put_is_idempotent_per_digest(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = TranscriptCache(path)
         request = req()
-        cache.put(request, "first")
-        cache.put(request, "second")
-        records = cache.records()
+        cache.put(request_digest(request), request, "first")
+        cache.put(request_digest(request), request, "second")
+        records = read_rows(cache.path)
         assert len(records) == 1
         assert records[0]["reply"] == "first"
+        cache.close()
 
     def test_record_fields(self, tmp_path):
         cache = TranscriptCache(tmp_path / "c.jsonl")
         request = req(model="m1", system="sys", user="usr", temperature=0.25)
-        cache.put(request, "out")
-        (record,) = cache.records()
+        cache.put(request_digest(request), request, "out")
+        (record,) = read_rows(cache.path)
         assert record["digest"] == request_digest(request)
         assert record["model"] == "m1"
         assert record["system"] == "sys"
@@ -268,6 +272,7 @@ class TestTranscriptCache:
         assert record["temperature"] == 0.25
         assert record["reply"] == "out"
         assert "timestamp" in record
+        cache.close()
 
     def test_unreadable_line_fails_load(self, tmp_path):
         path = tmp_path / "broken.jsonl"
@@ -290,8 +295,9 @@ class TestTranscriptCache:
         path = tmp_path / "cache.jsonl"
         cache = TranscriptCache(path)
         kept, lost, later = req(user="kept"), req(user="lost"), req(user="later")
-        cache.put(kept, "one")
-        cache.put(lost, "two")
+        cache.put(request_digest(kept), kept, "one")
+        cache.put(request_digest(lost), lost, "two")
+        cache.close()
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) - 20], encoding="utf-8")
 
@@ -301,18 +307,24 @@ class TestTranscriptCache:
         assert reopened.get(request_digest(kept)) == "one"
         assert reopened.get(request_digest(lost)) is None
 
-        reopened.put(later, "three")
+        reopened.put(request_digest(later), later, "three")
+        reopened.close()
         caplog.clear()
-        assert [r["reply"] for r in TranscriptCache(path).records()] == ["one", "three"]
+        assert [r["reply"] for r in read_rows(path)] == ["one", "three"]
         assert "torn" not in caplog.text
 
     def test_complete_last_line_without_newline_gets_one(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        TranscriptCache(path).put(req(user="first"), "one")
+        first = req(user="first")
+        cache = TranscriptCache(path)
+        cache.put(request_digest(first), first, "one")
+        cache.close()
         path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
         reopened = TranscriptCache(path)
         assert len(reopened) == 1
-        reopened.put(req(user="second"), "two")
+        second = req(user="second")
+        reopened.put(request_digest(second), second, "two")
+        reopened.close()
         lines = path.read_text(encoding="utf-8").splitlines(True)
         assert [json.loads(line)["reply"] for line in lines] == ["one", "two"]
         assert all(line.endswith("\n") for line in lines)
@@ -351,6 +363,7 @@ class TestCachingClient:
         assert backend.calls == 1
         assert client.backend_calls == 1
         assert client.cache_hits == 1
+        client.cache.close()
 
     def test_recorded_transcript_replays(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -358,6 +371,7 @@ class TestCachingClient:
             TranscriptCache(path), backend=CountingBackend("answer"), mode="record"
         )
         recorder.complete(req())
+        recorder.cache.close()
         replayer = CachingClient(TranscriptCache(path), mode="replay")
         assert replayer.complete(req()) == "answer"
         assert replayer.cache_hits == 1
