@@ -266,24 +266,12 @@ def build_candidates(
 
     paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
     union = frozenset(table for path in paths for table in path.tables)
-    if len(union) > 1 and not _tables_connected(graph, union):
+    if diagnostics:
+        # A pair without a join path leaves two union tables apart. When every
+        # pair is joined, any two paths meet through a path that shares an
+        # endpoint with each, so the union is connected.
         diagnostics.append("union of candidate paths is not a connected subgraph")
     return CandidateSet(paths=paths, union_tables=union, diagnostics=tuple(diagnostics))
-
-
-def _tables_connected(graph: SchemaGraph, tables: frozenset[str]) -> bool:
-    keys = {t.casefold() for t in tables}
-    start = next(iter(tables))
-    seen = {start.casefold()}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.adjacency.get(node, ()):
-            key = neighbor.casefold()
-            if key in keys and key not in seen:
-                seen.add(key)
-                queue.append(neighbor)
-    return seen == keys
 
 
 def render_path(path: JoinPath, graph: SchemaGraph | None = None) -> str:

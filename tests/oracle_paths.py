@@ -56,6 +56,18 @@ def brute_union(adj: dict[str, set[str]], sources, destinations) -> set[str]:
     return union
 
 
+def is_connected(adj: dict[str, set[str]], tables: set[str]) -> bool:
+    """Whether the subgraph induced by tables is connected, by BFS."""
+    start = next(iter(tables))
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        for neighbor in adj[node] & tables - seen:
+            seen.add(neighbor)
+            frontier.append(neighbor)
+    return seen == tables
+
+
 def random_adjacency(rng: random.Random, n_nodes: int, edge_prob: float) -> dict[str, set[str]]:
     nodes = [f"t{i:02d}" for i in range(n_nodes)]
     adj: dict[str, set[str]] = {node: set() for node in nodes}

@@ -37,6 +37,7 @@ from oracle_paths import (
     brute_shortest_paths,
     brute_union,
     graph_from_adjacency,
+    is_connected,
     random_adjacency,
 )
 
@@ -243,6 +244,25 @@ class TestBuildCandidates:
             assert set(candidates.union_tables) == brute_union(
                 adj, sources, destinations
             )
+
+    def test_disconnected_union_diagnostic_matches_a_reference_bfs(self):
+        rng = random.Random(2024)
+        disconnected = 0
+        for _ in range(300):
+            adj = random_adjacency(rng, rng.randint(2, 9), rng.choice([0.1, 0.2, 0.35]))
+            graph = graph_from_adjacency(adj)
+            nodes = sorted(adj)
+            sources = rng.choices(nodes, k=rng.randint(1, 3))
+            destinations = rng.choices(nodes, k=rng.randint(1, 3))
+            for mode in MODE_PRESETS:
+                candidates = build_candidates(graph, sources, destinations, preset(mode))
+                union = set(candidates.union_tables)
+                expected = not is_connected(adj, union)
+                flagged = "union of candidate paths is not a connected subgraph"
+                assert (flagged in candidates.diagnostics) == expected, (adj, sources, destinations, mode)
+                assert not expected or candidates.diagnostics[-1] == flagged
+                disconnected += expected
+        assert disconnected > 100
 
 
 class TestRendering:
