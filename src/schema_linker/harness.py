@@ -522,8 +522,9 @@ def run_evaluation(
     Gold table sets come from extracting table references out of each gold
     query. Questions whose gold SQL cannot be parsed are excluded from the
     schema aggregates and reported separately, as are gold queries that fail
-    to execute when execution checking is on. Report output is byte-stable
-    for a given run output. Gold table sets are kept by ``repo``.
+    to execute when execution checking is on. A generated row without SQL
+    is an execution miss. Report output is byte-stable for a given run
+    output. Gold table sets are kept by ``repo``.
     """
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -531,7 +532,7 @@ def run_evaluation(
 
     extraction_failures: list[dict] = []
     missing_rows: list[str] = []
-    scored: list[tuple[Question, frozenset[str], list[str], str | None]] = []
+    scored: list[tuple[Question, frozenset[str], dict]] = []
     for question in sorted(questions, key=lambda q: _question_sort_key(q.question_id)):
         row = rows.get(question.question_id)
         if row is None:
@@ -544,9 +545,7 @@ def run_evaluation(
                 {"question_id": question.question_id, "reason": str(exc)}
             )
             continue
-        scored.append(
-            (question, gold, row.get("chosen_tables") or [], row.get("predicted_sql"))
-        )
+        scored.append((question, gold, row))
 
     exec_flags: dict[int, bool] = {}
     exec_failures: dict[int, str] = {}
@@ -555,16 +554,16 @@ def run_evaluation(
         by_database = sorted(range(len(scored)), key=lambda i: scored[i][0].db_id)
         with ReadOnlyConnections() as connections:
             for i in by_database:
-                question, _, _, predicted_sql = scored[i]
-                if not predicted_sql:
-                    continue
+                question, _, row = scored[i]
+                if "predicted_sql" not in row:
+                    continue  # a link-only output has nothing to execute
                 database = repo.database_path(question.db_id)
                 if database is None:
                     exec_failures[i] = f"no SQLite database for {question.db_id!r}"
                     continue
                 try:
                     exec_flags[i] = execution_match(
-                        predicted_sql, question.gold_sql, database, connections=connections
+                        row["predicted_sql"], question.gold_sql, database, connections=connections
                     )
                 except GoldExecutionError as exc:
                     exec_failures[i] = str(exc)
@@ -576,12 +575,12 @@ def run_evaluation(
         make_eval_record(
             question.question_id,
             gold_tables,
-            predicted,
+            row.get("chosen_tables") or [],
             difficulty=question.difficulty,
             db_id=question.db_id,
             exec_match=exec_flags.get(i),
         )
-        for i, (question, gold_tables, predicted, _) in enumerate(scored)
+        for i, (question, gold_tables, row) in enumerate(scored)
     ]
 
     if not records:

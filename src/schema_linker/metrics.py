@@ -209,7 +209,7 @@ def _run_statement(
 
 
 def execution_match(
-    predicted_sql: str,
+    predicted_sql: str | None,
     gold_sql: str,
     database: str | Path,
     *,
@@ -218,9 +218,9 @@ def execution_match(
 ) -> bool:
     """Do both queries produce the same multiset of rows?
 
-    Row order is ignored. A failing or timed-out predicted query scores
-    False; a failing gold query is an error because it invalidates the
-    comparison itself. The database is opened read-only through
+    Row order is ignored. A missing, failing or timed-out predicted query
+    scores False; a failing gold query is an error because it invalidates
+    the comparison itself, so the gold query runs first. The database is opened read-only through
     ``connections``, which keeps the connection for the next call on the
     same database; without it, the call opens and closes its own.
     """
@@ -234,6 +234,8 @@ def execution_match(
             gold_rows = _run_statement(connection, gold_sql, timeout_s)
         except sqlite3.Error as exc:
             raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
+        if not predicted_sql:
+            return False
         try:
             predicted_rows = _run_statement(connection, predicted_sql, timeout_s)
         except sqlite3.Error:

@@ -956,6 +956,30 @@ class TestRunEvaluation:
         assert overall["execution_accuracy"] == pytest.approx(0.9)
         assert overall["recall"] == 1.0  # schema metrics unaffected
 
+    def test_row_without_sql_is_an_execution_miss(
+        self, golden_pipeline, questions, repo, tmp_path
+    ):
+        backend = ScriptedBackend(sql_overrides={5: "I cannot write that query."})
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=1)
+        gen_path = tmp_path / "gen.jsonl"
+        run_generation(golden_pipeline.link_path, config, client=client, out_path=gen_path)
+        assert read_rows(gen_path)[4]["predicted_sql"] is None
+        report = run_evaluation(
+            gen_path, questions, repo, check_execution=True, report_dir=tmp_path / "r"
+        )
+        overall = report.summary["overall"]
+        assert overall["execution_count"] == 10
+        assert overall["execution_accuracy"] == pytest.approx(0.9)
+        q5 = report.per_question_path.read_text(encoding="utf-8").splitlines()[5]
+        assert q5.startswith("5,") and q5.endswith(",false")
+
+        link_only = run_evaluation(
+            golden_pipeline.link_path, questions, repo, check_execution=True, report_dir=tmp_path / "l"
+        )
+        assert "execution_count" not in link_only.summary["overall"]
+
     def test_per_question_csv_shape(self, golden_pipeline, questions, repo, tmp_path):
         report = run_evaluation(
             golden_pipeline.link_path, questions, repo, report_dir=tmp_path
