@@ -242,7 +242,8 @@ def ingest_dataset(
 
 def _latest_rows(path: Path) -> dict[str, dict]:
     """The last row per question_id in a run output, in first-seen order."""
-    return {row["question_id"]: row for row in read_jsonl(path, ParseError, "run output")}
+    rows = read_jsonl(path, ParseError, "run output", ("question_id",))
+    return {row["question_id"]: row for row in rows}
 
 
 @dataclass(frozen=True)

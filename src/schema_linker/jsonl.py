@@ -24,13 +24,16 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 
-def read_jsonl(path: Path, error: type[LinkerError], what: str) -> Iterator[dict]:
+def read_jsonl(
+    path: Path, error: type[LinkerError], what: str, keys: Sequence[str] = ()
+) -> Iterator[dict]:
     """Yield the record on each line of path; a bad line raises ``error``.
 
     Records are yielded one at a time, so a caller that keeps only part of
     each never holds every parsed line at once. A missing file reads as
     empty. An unparseable last line without a trailing newline is a torn
-    write and is skipped with a warning; ``what`` names a line in errors.
+    write and is skipped with a warning. Any other line must hold a JSON
+    object with every key in ``keys``. ``what`` names a line in errors.
     """
     if not path.exists():
         return
@@ -49,6 +52,11 @@ def read_jsonl(path: Path, error: type[LinkerError], what: str) -> Iterator[dict
                 log.warning("%s:%d: skipping torn final line: %s", path, line_no, exc.msg)
                 break
             raise error(f"{path}:{line_no}: unreadable {what}: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise error(f"{path}:{line_no}: {what} is not a JSON object")
+        missing = [key for key in keys if key not in record]
+        if missing:
+            raise error(f"{path}:{line_no}: {what} lacks {', '.join(map(repr, missing))}")
         yield record
 
 

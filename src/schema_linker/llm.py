@@ -366,7 +366,7 @@ class TranscriptCache:
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {
             record["digest"]: record["reply"]
-            for record in read_jsonl(self.path, CacheMissError, "cache line")
+            for record in read_jsonl(self.path, CacheMissError, "cache line", ("digest", "reply"))
         }
         self._appender: JsonlAppender | None = None
 

@@ -259,6 +259,41 @@ class TestEvaluate:
         assert result.stderr.startswith("error:")
 
 
+class TestMalformedRecords:
+    """A line that parses but is not the record its reader needs is a clean fatal error."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("[1, 2]", "run output is not a JSON object"), ('{"db_id": "retail"}', "'question_id'")],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    def test_run_output(
+        self, runner, golden_pipeline, dataset_path, schema_root, tmp_path, command, line, message
+    ):
+        lines = golden_pipeline.link_path.read_text(encoding="utf-8").splitlines(True)
+        bad = tmp_path / "link.jsonl"
+        bad.write_text(lines[0] + line + "\n" + lines[1], encoding="utf-8")
+        if command == "evaluate":
+            args = ["--dataset", str(dataset_path), "--schemas", str(schema_root)]
+            args += ["--report-dir", str(tmp_path / "report")]
+        else:
+            args = ["--cache", str(golden_pipeline.cache_path)]
+        result = runner.invoke(main, [command, "--in", str(bad), *args])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {bad}:2: ")
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("line", ['{"reply": "pong"}', '{"digest": "d1"}', '"pong"'])
+    def test_cache_line(self, runner, dataset_path, schema_root, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line + "\n", encoding="utf-8")
+        args = ["--dataset", str(dataset_path), "--schemas", str(schema_root)]
+        args += ["--out", str(tmp_path / "out.jsonl"), "--cache", str(cache)]
+        result = runner.invoke(main, ["link", *args])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {cache}:1: cache line ")
+
+
 class TestSweep:
     def test_full_sweep_replay(
         self, runner, dataset_path, schema_root, mode_runs, tmp_path

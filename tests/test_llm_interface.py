@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -280,6 +281,20 @@ class TestTranscriptCache:
         with pytest.raises(CacheMissError):
             TranscriptCache(path)
 
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"reply": "y"}', "cache line lacks 'digest'"),
+            ('{"digest": "x"}', "cache line lacks 'reply'"),
+            ("[1, 2]", "cache line is not a JSON object"),
+        ],
+    )
+    def test_record_without_digest_or_reply_fails_load(self, tmp_path, line, message):
+        path = tmp_path / "broken.jsonl"
+        path.write_text('{"digest": "x", "reply": "y"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CacheMissError, match=f":2: {re.escape(message)}"):
+            TranscriptCache(path)
 
     def test_corrupt_middle_line_fails_load(self, tmp_path):
         path = tmp_path / "broken.jsonl"
