@@ -288,8 +288,7 @@ def _run_rows(
     An item is done when its latest row has ``error_field`` None. Replay
     runs on the calling thread, since it is pure computation under the
     interpreter lock; record mode runs ``config.workers`` threads. The
-    client's cache is closed on return, so its file is open only while
-    rows are appended.
+    client's cache file is closed on return.
     """
     latest = _latest_rows(out_path)
     done = {question_id for question_id, row in latest.items() if row.get(error_field) is None}

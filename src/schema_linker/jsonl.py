@@ -60,48 +60,34 @@ def read_jsonl(
         yield record
 
 
-def repair_tail(path: Path) -> None:
-    """Make path end on a complete line before anything is appended to it.
-
-    A torn final line is cut off; a complete one that lacks its newline
-    gets one. A file that ends in a newline is left untouched.
-    """
-    try:
-        handle = path.open("r+b")
-    except FileNotFoundError:
-        return
-    with handle:
-        end = handle.seek(0, 2)
-        if end == 0:
-            return
-        handle.seek(end - 1)
-        if handle.read(1) == b"\n":
-            return
-        handle.seek(0)
-        data = handle.read()
-        start = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[start:])
-        except ValueError:
-            log.warning("%s: cutting torn final line (%d bytes)", path, end - start)
-            handle.truncate(start)
-        else:
-            handle.write(b"\n")
-
-
 class JsonlAppender:
     """Appends one flushed JSON record per line to path; close it, or use ``with``.
 
-    Opening makes the parent directory and cuts a torn final line first.
+    Opening makes the parent directory and, before anything is appended,
+    cuts a torn final line off the file, or ends a complete one that lacks
+    its newline.
     """
 
     def __init__(self, path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        repair_tail(path)
-        self._sink = path.open("a", encoding="utf-8")
+        self._sink = sink = path.open("a+b")  # every write appends; the tail can still be cut
+        end = sink.seek(0, 2)
+        sink.seek(max(end - 1, 0))
+        if end and sink.read(1) != b"\n":
+            sink.seek(0)
+            data = sink.read()
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                log.warning("%s: cutting torn final line (%d bytes)", path, end - start)
+                sink.truncate(start)
+            else:
+                sink.write(b"\n")
 
     def write(self, record: dict) -> None:
-        self._sink.write(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n")
+        line = json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
+        self._sink.write(line.encode("ascii"))
         self._sink.flush()
 
     def close(self) -> None:

@@ -356,10 +356,7 @@ class CompletionClient(Protocol):
 
 
 class TranscriptCache:
-    """Append-only JSON-lines store of request digests and replies.
-
-    The first ``put`` opens the file, and it stays open until ``close``.
-    """
+    """Append-only JSON-lines store of digests and replies; ``put`` opens it until ``close``."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -544,6 +541,7 @@ class CachingClient:
         return {}
 
 
+@dataclass(frozen=True)
 class LlmEndpointOracle:
     """Source/destination nomination with retry-then-degrade on bad replies.
 
@@ -553,15 +551,9 @@ class LlmEndpointOracle:
     to nominating every table instead of failing the question.
     """
 
-    def __init__(
-        self,
-        client: CompletionClient,
-        model_name: str = DEFAULT_MODEL,
-        temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST],
-    ):
-        self.client = client
-        self.model_name = model_name
-        self.temperature = temperature
+    client: CompletionClient
+    model_name: str = DEFAULT_MODEL
+    temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST]
 
     def __call__(
         self, question: str, schema: Schema, evidence: str | None = None
@@ -588,18 +580,13 @@ class LlmEndpointOracle:
         return degraded_extraction(schema)
 
 
+@dataclass(frozen=True)
 class LlmPathOracle:
     """Candidate selection; raises NO_PARSE or OUT_OF_RANGE on bad replies."""
 
-    def __init__(
-        self,
-        client: CompletionClient,
-        model_name: str = DEFAULT_MODEL,
-        temperature: float = DEFAULT_TEMPERATURES[PromptId.PATH_SELECT],
-    ):
-        self.client = client
-        self.model_name = model_name
-        self.temperature = temperature
+    client: CompletionClient
+    model_name: str = DEFAULT_MODEL
+    temperature: float = DEFAULT_TEMPERATURES[PromptId.PATH_SELECT]
 
     def __call__(self, question: str, candidate_lines: list[str]) -> int:
         request = render_path_select_prompt(

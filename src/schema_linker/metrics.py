@@ -219,10 +219,10 @@ def execution_match(
     """Do both queries produce the same multiset of rows?
 
     Row order is ignored. A missing, failing or timed-out predicted query
-    scores False; a failing gold query is an error because it invalidates
-    the comparison itself, so the gold query runs first. The database is opened read-only through
-    ``connections``, which keeps the connection for the next call on the
-    same database; without it, the call opens and closes its own.
+    scores False; a failing gold query, run first, is an error because it
+    invalidates the comparison itself. The database is opened read-only
+    through ``connections``, which keeps the connection for the next call
+    on the same database; without it, the call opens and closes its own.
     """
     database = Path(database)
     if not database.is_file():

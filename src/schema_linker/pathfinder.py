@@ -267,9 +267,8 @@ def build_candidates(
     paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
     union = frozenset(table for path in paths for table in path.tables)
     if diagnostics:
-        # A pair without a join path leaves two union tables apart. When every
-        # pair is joined, any two paths meet through a path that shares an
-        # endpoint with each, so the union is connected.
+        # Exactly when a pair has no join path: when all are joined, any two
+        # paths meet through a third that shares an endpoint with each.
         diagnostics.append("union of candidate paths is not a connected subgraph")
     return CandidateSet(paths=paths, union_tables=union, diagnostics=tuple(diagnostics))
 
