@@ -103,7 +103,8 @@ def _replayed_outputs(dataset: Path, schema_root: Path, backend, work: Path) -> 
     client = CachingClient(TranscriptCache(cache_path))
     repo = SchemaRepository(schema_root)
     for mode in MODE_PRESETS:
-        run_linking(questions, replace(replay, mode=mode), repo, out / "link" / f"{mode}.jsonl", client)
+        rows_path = out / "link" / f"{mode}.jsonl"
+        run_linking(questions, replace(replay, mode=mode), repo, rows_path, client)
     linked = run_generation(
         out / "link" / "mode7.jsonl", replay, client, out / "generate.jsonl"
     ).path
@@ -123,7 +124,8 @@ def _replayed_outputs(dataset: Path, schema_root: Path, backend, work: Path) -> 
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    digests = sorted(record["digest"] for record in read_jsonl(cache_path, CacheMissError, "cache line"))
+    records = read_jsonl(cache_path, CacheMissError, "cache line")
+    digests = sorted(record["digest"] for record in records)
     hashes["cache_digests"] = _digest("\n".join(digests).encode("ascii"))
     return hashes
 
@@ -140,9 +142,10 @@ def compute_manifest(work: Path) -> dict[str, str]:
     small_dataset, small_schemas, scripts = benchmark["corpus"].generate(
         spec, SWEEP_SMALL_SEED, work / "sweep-small-corpus"
     )
+    small_backend = benchmark["backend"].ScriptedBackend(scripts)
     corpora = {
         "toy": (toy_dataset, toy_schemas, toy_backend),
-        "sweep-small": (small_dataset, small_schemas, benchmark["backend"].ScriptedBackend(scripts)),
+        "sweep-small": (small_dataset, small_schemas, small_backend),
     }
     manifest = {}
     for corpus, (dataset, schema_root, backend) in corpora.items():

@@ -638,7 +638,9 @@ class TestRowRunner:
             return handle
 
         monkeypatch.setattr(Path, "open", tracking_open)
-        client = CachingClient(TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record")
+        client = CachingClient(
+            TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record"
+        )
         config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=1)
         link_path = tmp_path / "link.jsonl"
         run_linking(questions, config, repo, link_path, client=client)
@@ -976,7 +978,11 @@ class TestRunEvaluation:
         assert q5.startswith("5,") and q5.endswith(",false")
 
         link_only = run_evaluation(
-            golden_pipeline.link_path, questions, repo, check_execution=True, report_dir=tmp_path / "l"
+            golden_pipeline.link_path,
+            questions,
+            repo,
+            check_execution=True,
+            report_dir=tmp_path / "l",
         )
         assert "execution_count" not in link_only.summary["overall"]
 

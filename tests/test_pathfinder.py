@@ -259,7 +259,8 @@ class TestBuildCandidates:
                 union = set(candidates.union_tables)
                 expected = not is_connected(adj, union)
                 flagged = "union of candidate paths is not a connected subgraph"
-                assert (flagged in candidates.diagnostics) == expected, (adj, sources, destinations, mode)
+                case = (adj, sources, destinations, mode)
+                assert (flagged in candidates.diagnostics) == expected, case
                 assert not expected or candidates.diagnostics[-1] == flagged
                 disconnected += expected
         assert disconnected > 100
