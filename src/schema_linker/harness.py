@@ -414,6 +414,9 @@ def extract_sql_reply(reply: str) -> str | None:
     return max(statements, key=len)
 
 
+_LINKED_FIELDS = ("question", "db_id", "filtered_schema", "join_path")
+
+
 def run_generation(
     link_output: str | Path,
     config: RunConfig,
@@ -426,8 +429,9 @@ def run_generation(
 
     Renders the join-path prompt from the row's filtered schema, or, when
     config.baseline is set, the baseline prompt from the full schema of the
-    row's database in repo. The last link row per question_id is used, and
-    output rows that already hold generated SQL are skipped. A row keeps
+    row's database in repo. The last link row per question_id is used; one
+    without an error that lacks a linked field raises ParseError. Output
+    rows that already hold generated SQL are skipped. A row keeps
     the link stage's token_usage and records the generation request's own
     tokens as generation_token_usage.
     """
@@ -437,6 +441,10 @@ def run_generation(
     rows = _latest_rows(link_output)
     if not rows:
         raise EmptyInputError(f"no rows in {link_output}")
+    for question_id, row in rows.items():
+        missing = [key for key in _LINKED_FIELDS if key not in row]
+        if missing and not row.get("error"):
+            raise ParseError(f"{link_output}: row {question_id!r} lacks {', '.join(missing)}")
     if out_path is None:
         out_path = link_output.with_name(link_output.stem + "_generated.jsonl")
     client = client if client is not None else config.build_client()

@@ -23,7 +23,7 @@ from .errors import (
     ReplyParseError,
     UnknownTableError,
 )
-from .schema_model import FkProvenance, ForeignKeyEdge, Schema, SchemaGraph, join_condition
+from .schema_model import ForeignKeyEdge, Schema, SchemaGraph, join_condition
 
 
 class EndpointKeep(str, Enum):
@@ -198,14 +198,10 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
 
 
 def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
+    first: dict[str, str] = {}
     for name in names:
-        key = name.casefold()
-        if key not in seen:
-            seen.add(key)
-            out.append(name)
-    return out
+        first.setdefault(name.casefold(), name)
+    return list(first.values())
 
 
 def build_candidates(
@@ -236,24 +232,16 @@ def build_candidates(
     diagnostics: list[str] = []
     collected: dict[tuple[str, ...], JoinPath] = {}
     cache = graph.path_cache
-
-    def add(path: JoinPath) -> None:
-        seq = path.sort_key()
-        rev = seq[::-1]
-        if rev < seq:
-            path = JoinPath(path.tables[::-1])
-            seq = rev
-        collected.setdefault(seq, path)
-
     for src, dst in product(src_list, dst_list):
         key = (src.casefold(), dst.casefold())
         found = cache.get(key)
-        if found is None:
-            # Record-mode threads may race here; the first equal value wins.
-            found = cache.setdefault(key, tuple(all_shortest_paths(graph, src, dst)))
+        if found is None:  # record-mode threads may race here; the first equal value wins
+            found = all_shortest_paths(graph, src, dst)
+            if key[1] < key[0]:  # store each path as merged: from the end that sorts first
+                found = [JoinPath(path.tables[::-1]) for path in found]
+            found = cache.setdefault(key, tuple(found))
         if found:
-            for path in found:
-                add(path)
+            collected.update((path.tables, path) for path in found)
         else:
             diagnostics.append(
                 f"no join path between {src!r} and {dst!r}; keeping both as "
@@ -262,7 +250,7 @@ def build_candidates(
             for name in (src, dst):
                 resolved = graph.resolve_node(name)
                 assert resolved is not None
-                add(JoinPath((resolved,)))
+                collected[(resolved,)] = JoinPath((resolved,))
 
     paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
     union = frozenset(table for path in paths for table in path.tables)
@@ -395,19 +383,13 @@ def link(
     selection = select_path(candidates, config, selector, graph=graph)
 
     chosen_keys = {table.casefold() for table in selection.chosen_tables}
-    induced = tuple(
-        fk
-        for fk in schema.foreign_keys
-        if fk.from_table.casefold() in chosen_keys
-        and fk.to_table.casefold() in chosen_keys
-    )
+    keys = schema.foreign_keys
+    positions = sorted(i for table in chosen_keys for i in schema.keys_by_source.get(table, ()))
+    induced = tuple(keys[i] for i in positions if keys[i].to_table.casefold() in chosen_keys)
     augmented = tuple(
         fk
-        for edge in graph.edges
-        for fk in edge.justifications
-        if fk.provenance is FkProvenance.ID_AUGMENTED
-        and fk.from_table.casefold() in chosen_keys
-        and fk.to_table.casefold() in chosen_keys
+        for fk in graph.augmented_keys
+        if fk.from_table.casefold() in chosen_keys and fk.to_table.casefold() in chosen_keys
     )
     warnings = (
         tuple(extraction.warnings) + candidates.diagnostics + selection.warnings

@@ -145,6 +145,23 @@ class Schema:
 
         return render_filtered_schema(self, self.table_names, self.foreign_keys)
 
+    @cached_property
+    def ddl(self) -> tuple[dict[str, tuple[str, str]], dict[ForeignKeyEdge, str]]:
+        """Text ``render_filtered_schema`` joins: each ``table_ddl`` by casefolded
+        name, and each declared key's ``foreign_key_ddl`` line."""
+        from .sql_analysis import foreign_key_ddl, table_ddl
+
+        tables = {table.name.casefold(): table_ddl(table) for table in self.tables}
+        return tables, {fk: foreign_key_ddl(fk) for fk in self.foreign_keys}
+
+    @cached_property
+    def keys_by_source(self) -> dict[str, list[int]]:
+        """Positions in ``foreign_keys`` of each table's keys, by casefolded name."""
+        index: dict[str, list[int]] = {}
+        for i, fk in enumerate(self.foreign_keys):
+            index.setdefault(fk.from_table.casefold(), []).append(i)
+        return index
+
     @property
     def table_names(self) -> tuple[str, ...]:
         return tuple(table.name for table in self.tables)
@@ -209,8 +226,14 @@ class SchemaGraph:
 
     @cached_property
     def path_cache(self) -> dict[tuple[str, str], tuple]:
-        """Shortest paths by casefolded (src, dst), filled by ``build_candidates``."""
+        """Shortest paths by casefolded (src, dst), oriented as ``build_candidates`` merges."""
         return {}
+
+    @cached_property
+    def augmented_keys(self) -> tuple[ForeignKeyEdge, ...]:
+        """The ID_AUGMENTED keys on the edges, in edge order."""
+        keys = (fk for edge in self.edges for fk in edge.justifications)
+        return tuple(fk for fk in keys if fk.provenance is FkProvenance.ID_AUGMENTED)
 
     @property
     def edge_count(self) -> int:

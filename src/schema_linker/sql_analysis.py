@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ParseError, UnknownTableError
-from .schema_model import ForeignKeyEdge, Schema, join_condition
+from .schema_model import ForeignKeyEdge, Schema, TableDef, join_condition
 
 if TYPE_CHECKING:
     from .pathfinder import LinkResult
@@ -270,6 +270,27 @@ def _quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def table_ddl(table: TableDef) -> tuple[str, str]:
+    """A table's "CREATE TABLE name (" line and its column lines, for ``Schema.ddl``."""
+    lines: list[str] = []
+    for col in table.columns:
+        entry = f"    {_quote_ident(col.name)}"
+        if col.declared_type:
+            entry += f" {col.declared_type}"
+        if col.is_primary_key:
+            entry += " PRIMARY KEY"
+        lines.append(entry)
+    return f"CREATE TABLE {_quote_ident(table.name)} (\n", ",\n".join(lines)
+
+
+def foreign_key_ddl(fk: ForeignKeyEdge) -> str:
+    """The key's line in its source table's block."""
+    return (
+        f"    FOREIGN KEY ({_quote_ident(fk.from_column)}) "
+        f"REFERENCES {_quote_ident(fk.to_table)}({_quote_ident(fk.to_column)})"
+    )
+
+
 def render_filtered_schema(
     schema: Schema,
     chosen_tables: Iterable[str],
@@ -281,41 +302,27 @@ def render_filtered_schema(
     in schema order and then, in their given order, the induced foreign
     keys whose source is that table and whose target is chosen. Rendering
     the full table set with all declared keys reproduces the whole-schema
-    serialization byte for byte.
+    serialization byte for byte. Keys outside ``schema.ddl`` are formatted here.
     """
-    canonical: set[str] = set()
+    tables, key_lines = schema.ddl
+    chosen: set[str] = set()
     for name in chosen_tables:
-        resolved = schema.resolve_table(name)
-        if resolved is None:
+        key = name.casefold()
+        if key not in tables:
             raise UnknownTableError(f"unknown table {name!r}")
-        canonical.add(resolved)
-    ordered = sorted(canonical, key=str.casefold)
-    chosen_keys = {name.casefold() for name in ordered}
+        chosen.add(key)
 
     fk_lines: dict[str, list[str]] = {}
     for fk in induced_fk_edges:
-        if fk.to_table.casefold() not in chosen_keys:
-            continue
-        fk_lines.setdefault(fk.from_table.casefold(), []).append(
-            f"    FOREIGN KEY ({_quote_ident(fk.from_column)}) "
-            f"REFERENCES {_quote_ident(fk.to_table)}({_quote_ident(fk.to_column)})"
-        )
+        if fk.to_table.casefold() in chosen:
+            line = key_lines.get(fk) or foreign_key_ddl(fk)
+            fk_lines.setdefault(fk.from_table.casefold(), []).append(line)
 
     blocks: list[str] = []
-    for name in ordered:
-        table = schema.table(name)
-        assert table is not None
-        lines: list[str] = []
-        for col in table.columns:
-            entry = f"    {_quote_ident(col.name)}"
-            if col.declared_type:
-                entry += f" {col.declared_type}"
-            if col.is_primary_key:
-                entry += " PRIMARY KEY"
-            lines.append(entry)
-        lines.extend(fk_lines.get(name.casefold(), ()))
-        body = ",\n".join(lines)
-        blocks.append(f"CREATE TABLE {_quote_ident(name)} (\n{body}\n);")
+    for key in sorted(chosen):
+        header, columns = tables[key]
+        body = ",\n".join(filter(None, (columns, *fk_lines.get(key, ()))))
+        blocks.append(f"{header}{body}\n);")
     return "\n\n".join(blocks)
 
 

@@ -190,6 +190,27 @@ class TestGenerate:
         assert result.exit_code == 0, result.output
         assert "generated SQL for 10 question(s) (0 already present, 0 failed)" in result.output
 
+    def test_row_lacking_linked_fields_is_fatal(self, runner, tmp_path):
+        link_path = tmp_path / "link.jsonl"
+        failed = (
+            '{"question_id": "0", "question": "q", "db_id": "retail", '
+            '"error": {"code": "CACHE_MISS", "message": "x"}}\n'
+        )
+        link_path.write_text(failed + '{"question_id": "1"}\n', encoding="utf-8")
+        args = ["generate", "--in", str(link_path), "--cache", str(tmp_path / "cache.jsonl")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {link_path}: row '1' lacks question, db_id, filtered_schema, join_path\n"
+        )
+        assert not (tmp_path / "link_generated.jsonl").exists()
+        # A failed link row needs none of them; it fails generation upstream.
+        link_path.write_text(failed, encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        (row,) = read_rows(tmp_path / "link_generated.jsonl")
+        assert row["generation_error"]["message"] == "linking failed upstream"
+
     def test_missing_input_is_fatal(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -26,8 +27,10 @@ from schema_linker.pathfinder import (
 )
 from schema_linker.schema_model import (
     ColumnDef,
+    FkProvenance,
     ForeignKeyEdge,
     Schema,
+    SchemaGraph,
     TableDef,
     augment_sparse_graph,
     build_graph,
@@ -40,6 +43,7 @@ from oracle_paths import (
     is_connected,
     random_adjacency,
 )
+from reference_render import wide_schema
 
 
 def graph_of(*pairs):
@@ -264,6 +268,166 @@ class TestBuildCandidates:
                 assert not expected or candidates.diagnostics[-1] == flagged
                 disconnected += expected
         assert disconnected > 100
+
+
+# Raw and case-insensitive order disagree on these names ("Beta" < "alpha").
+MIXED_CASE_NAMES = ["alpha", "Beta", "GAMMA", "delta", "Epsilon", "zeta", "Eta", "THETA", "iota"]
+
+
+def mixed_case_adjacency(rng, n_nodes, edge_prob):
+    names = rng.sample(MIXED_CASE_NAMES, n_nodes)
+    adj = {name: set() for name in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if rng.random() < edge_prob:
+                adj[a].add(b)
+                adj[b].add(a)
+    return adj
+
+
+def reference_merge(graph, sources, destinations, config):
+    """A plain build_candidates: every pair searched afresh, and each path
+    oriented and deduplicated by its sort_key as it is merged."""
+    src_list, dst_list = [], []
+    for names, out in ((sources, src_list), (destinations, dst_list)):
+        for name in names:
+            if name.casefold() not in {kept.casefold() for kept in out}:
+                out.append(name)
+    if config.keep_sources is EndpointKeep.ONE:
+        src_list = src_list[:1]
+    if config.keep_destinations is EndpointKeep.ONE:
+        dst_list = dst_list[:1]
+    diagnostics = []
+    collected = {}
+
+    def add(path):
+        seq = path.sort_key()
+        rev = seq[::-1]
+        if rev < seq:
+            path = JoinPath(path.tables[::-1])
+            seq = rev
+        collected.setdefault(seq, path)
+
+    for src, dst in product(src_list, dst_list):
+        found = all_shortest_paths(graph, src, dst)
+        for path in found:
+            add(path)
+        if not found:
+            diagnostics.append(
+                f"no join path between {src!r} and {dst!r}; keeping both as "
+                "standalone candidates"
+            )
+            for name in (src, dst):
+                add(JoinPath((graph.resolve_node(name),)))
+    paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
+    if diagnostics:
+        diagnostics.append("union of candidate paths is not a connected subgraph")
+    union = frozenset(table for path in paths for table in path.tables)
+    return CandidateSet(paths=paths, union_tables=union, diagnostics=tuple(diagnostics))
+
+
+class TestMergeMatchesReference:
+    def test_random_graphs_all_modes_cold_and_warm(self):
+        rng = random.Random(4711)
+        reversed_pairs = 0
+        for _ in range(150):
+            adj = mixed_case_adjacency(rng, rng.randint(2, 9), rng.choice([0.15, 0.3, 0.5]))
+            warm = graph_from_adjacency(adj)
+            nodes = list(adj)
+            pick = lambda: [  # noqa: E731
+                name.swapcase() if rng.random() < 0.3 else name
+                for name in rng.choices(nodes, k=rng.randint(1, 3))
+            ]
+            sources, destinations = pick(), pick()
+            reversed_pairs += any(
+                d.casefold() < s.casefold() for s, d in product(sources, destinations)
+            )
+            for mode in MODE_PRESETS:
+                config = preset(mode)
+                expected = reference_merge(warm, sources, destinations, config)
+                cold = build_candidates(
+                    SchemaGraph(warm.nodes, warm.edges), sources, destinations, config
+                )
+                case = (adj, sources, destinations, mode)
+                assert cold == expected, case
+                for _ in range(2):  # the first call may still fill some pairs
+                    assert build_candidates(warm, sources, destinations, config) == expected
+        assert reversed_pairs > 50
+
+
+def reference_keys(schema, graph, chosen_tables):
+    """The induced and augmented keys by a linear scan over every key."""
+    chosen = {table.casefold() for table in chosen_tables}
+    within = lambda fk: (  # noqa: E731
+        fk.from_table.casefold() in chosen and fk.to_table.casefold() in chosen
+    )
+    induced = tuple(fk for fk in schema.foreign_keys if within(fk))
+    augmented = tuple(
+        fk
+        for edge in graph.edges
+        for fk in edge.justifications
+        if fk.provenance is FkProvenance.ID_AUGMENTED and within(fk)
+    )
+    return induced, augmented
+
+
+def sparse_schema(rng):
+    """Too few edges for path search, so shared id columns get augmented.
+
+    Keys name their tables in non-canonical casing; the first table
+    references itself and the second references the third twice.
+    """
+    names = rng.sample(MIXED_CASE_NAMES, rng.randint(3, 7))
+    extra = ["node_id", "Owner_ID", "label", "id_code"]
+    tables = []
+    for i, name in enumerate(names):
+        columns = [ColumnDef("id", "INTEGER", is_primary_key=True)]
+        columns += [ColumnDef(col) for col in extra if rng.random() < 0.5]
+        columns += [ColumnDef(col) for col in ("parent", "a_ref", "b_ref") if i < 2]
+        tables.append(TableDef(name, tuple(columns)))
+    keys = [
+        ForeignKeyEdge(names[0].upper(), "parent", names[0].swapcase(), "ID"),
+        ForeignKeyEdge(names[1].swapcase(), "b_ref", names[2].upper(), "id"),
+        ForeignKeyEdge(names[1], "a_ref", names[2].swapcase(), "Id"),
+    ]
+    rng.shuffle(keys)
+    return Schema(database_id="sparse", tables=tuple(tables), foreign_keys=tuple(keys))
+
+
+class TestLinkKeyOrderMatchesReference:
+    def test_random_schemas_and_chosen_sets(self):
+        rng = random.Random(8086)
+        schemas = [wide_schema(rng.randint(8, 30), rng.randint(5, 40), seed) for seed in range(6)]
+        schemas += [sparse_schema(rng) for _ in range(12)]
+        longest_induced = with_augmented = 0
+        for schema in schemas:
+            graph = augment_sparse_graph(build_graph(schema), schema)
+            names = schema.table_names
+            for _ in range(25):
+                chosen = rng.sample(names, rng.randint(1, min(len(names), 8)))
+                chosen = [name.swapcase() if rng.random() < 0.3 else name for name in chosen]
+                sources = chosen[: rng.randint(1, len(chosen))]
+                destinations = chosen[len(sources) - 1 :]
+                result = link(
+                    "q",
+                    schema,
+                    graph,
+                    preset(rng.choice(list(MODE_PRESETS))),
+                    self.endpoints(sources, destinations),
+                    path_oracle=lambda question, lines: rng.randint(1, len(lines)),
+                )
+                induced, augmented = reference_keys(schema, graph, result.chosen_tables)
+                assert result.induced_fk_edges == induced
+                assert result.augmented_join_edges == augmented
+                longest_induced = max(longest_induced, len(induced))
+                with_augmented += len(augmented) > 1
+        assert longest_induced >= 5
+        assert with_augmented > 20
+
+    @staticmethod
+    def endpoints(sources, destinations):
+        extraction = EndpointExtraction(sources=tuple(sources), destinations=tuple(destinations))
+        return lambda question, schema, evidence: extraction
 
 
 class TestRendering:

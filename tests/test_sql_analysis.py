@@ -5,7 +5,15 @@ import pytest
 from schema_linker.errors import ParseError, UnknownTableError
 from schema_linker.llm import EndpointExtraction
 from schema_linker.pathfinder import MODE_PRESETS, link
-from schema_linker.schema_model import ColumnDef, Schema, TableDef
+from schema_linker.schema_model import (
+    ColumnDef,
+    FkProvenance,
+    ForeignKeyEdge,
+    Schema,
+    TableDef,
+    augment_sparse_graph,
+    build_graph,
+)
 from schema_linker.sql_analysis import (
     extract_tables,
     render_filtered_schema,
@@ -140,6 +148,26 @@ class TestRenderMatchesReference:
         for schema in (wide, retail_schema):
             expected = reference_render(schema, schema.table_names, schema.foreign_keys)
             assert render_schema(schema) == expected
+            assert schema.rendered == expected
+
+    def test_keys_outside_the_schema_and_tables_without_columns(self):
+        schema = Schema(
+            database_id="d",
+            tables=(
+                TableDef("Empty"),
+                TableDef("a", (ColumnDef("node_id", "INTEGER"), ColumnDef("id"))),
+                TableDef("B c", (ColumnDef("Node_ID"), ColumnDef("ID", "INTEGER"))),
+            ),
+        )
+        augmented = augment_sparse_graph(build_graph(schema), schema).augmented_keys
+        assert [fk.provenance for fk in augmented] == [FkProvenance.ID_AUGMENTED] * 2
+        # A key from the table without columns names a column it lacks.
+        dangling = ForeignKeyEdge("EMPTY", "x", "a", "id")
+        chosen = ["empty", "A", "b C"]
+        for edges in ((), augmented, (dangling, *augmented)):
+            expected = reference_render(schema, chosen, edges)
+            assert render_filtered_schema(schema, chosen, edges) == expected
+        assert "CREATE TABLE Empty (\n\n);" in render_schema(schema)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_filtered_render(self, wide, seed):
