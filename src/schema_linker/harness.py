@@ -17,7 +17,7 @@ import json
 import logging
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -28,7 +28,6 @@ from .llm import (
     DEFAULT_TEMPERATURES,
     CacheMode,
     CachingClient,
-    EndpointExtraction,
     HttpCompletionClient,
     LlmEndpointOracle,
     LlmPathOracle,
@@ -46,7 +45,6 @@ from .metrics import (
 from .pathfinder import (
     MODE_LABELS,
     MODE_PRESETS,
-    EndpointOracle,
     canonical_mode_name,
     link,
     preset,
@@ -276,34 +274,38 @@ Item = TypeVar("Item")
 
 def _run_rows(
     items: dict[str, Item],
-    out_path: Path,
-    work: Callable[[Item], dict],
-    on_error: Callable[[Item, Exception], dict],
+    out_paths: Sequence[Path],
+    work: Callable[[Item, list[int]], list[dict]],
     error_field: str,
     client: CachingClient,
     config: RunConfig,
-) -> RunOutcome:
-    """Append a row for each item, keyed by question_id, not yet done in out_path.
+) -> list[RunOutcome]:
+    """Append each item's rows, keyed by question_id, to the out_paths it is pending in.
 
-    An item is done when its latest row has ``error_field`` None. Replay
-    runs on the calling thread, since it is pure computation under the
-    interpreter lock; record mode runs ``config.workers`` threads. The
-    client's cache file is closed on return.
+    An item is done in a file when its latest row there has ``error_field``
+    None. ``work(item, pending)`` returns, failures included, a row for each
+    index into out_paths in ``pending``. Replay runs on the calling thread,
+    since it is pure computation under the interpreter lock; record mode
+    runs ``config.workers`` threads. The client's cache file is closed on return.
     """
-    latest = _latest_rows(out_path)
-    done = {question_id for question_id, row in latest.items() if row.get(error_field) is None}
-    todo = [item for question_id, item in items.items() if question_id not in done]
+    done = [
+        {key for key, row in _latest_rows(path).items() if row.get(error_field) is None}
+        for path in out_paths
+    ]
+    todo = [(item, [i for i, d in enumerate(done) if key not in d]) for key, item in items.items()]
+    todo = [(item, pending) for item, pending in todo if pending]
     workers = 1 if client.mode is CacheMode.REPLAY else config.workers
     try:
-        failed = append_rows(out_path, todo, work, on_error, error_field, workers)
+        failed = append_rows(
+            out_paths, todo, lambda job: zip(job[1], work(*job)), error_field, workers
+        )
     finally:
         client.cache.close()
-    return RunOutcome(
-        path=out_path,
-        completed=len(todo) - failed,
-        skipped=len(items) - len(todo),
-        failed=failed,
-    )
+    attempted = [sum(i in pending for _, pending in todo) for i in range(len(out_paths))]
+    return [
+        RunOutcome(path, tried - fails, len(items) - tried, fails)
+        for path, tried, fails in zip(out_paths, attempted, failed)
+    ]
 
 
 def run_linking(
@@ -321,72 +323,77 @@ def run_linking(
     carries the backend token usage its own requests reported.
     """
     client = client if client is not None else config.build_client()
-    endpoints = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
-    return _link_questions(questions, config, repo, Path(out_path), client, endpoints)
+    mode_name = canonical_mode_name(config.mode)
+    return _link_questions(questions, [mode_name], config, repo, [Path(out_path)], client)[0]
 
 
 def _link_questions(
     questions: Sequence[Question],
+    mode_names: Sequence[str],
     config: RunConfig,
     repo: SchemaRepository,
-    out_path: Path,
+    out_paths: Sequence[Path],
     client: CachingClient,
-    endpoints: EndpointOracle,
-) -> RunOutcome:
-    """run_linking, nominating each question's endpoints with ``endpoints``."""
+) -> list[RunOutcome]:
+    """Link each question once, writing its mode_names[i] row to out_paths[i].
+
+    One ``link`` call serves every pending mode of a question, and a result
+    that modes share is rendered once. Each mode runs in its own try, and
+    its row carries the usage popped after it, so the first pending mode's
+    row holds the endpoint request.
+    """
+    endpoints = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
     path_oracle = LlmPathOracle(client, config.linker_model, config.link_temperature)
-    mode_name = canonical_mode_name(config.mode)
-    mode = preset(mode_name)
+    modes = [preset(name) for name in mode_names]
 
-    def question_fields(question: Question) -> dict:
-        return {
-            "question_id": question.question_id,
-            "db_id": question.db_id,
-            "question": question.text,
-            "evidence": question.evidence,
-            "difficulty": question.difficulty,
-            "mode": mode_name,
-        }
-
-    def work(question: Question) -> dict:
-        client.pop_usage()  # drop what anything before this row left behind
-        schema = repo.schema(question.db_id)
-        graph = repo.graph(question.db_id)
-        result = link(
-            question.text,
-            schema,
-            graph,
-            mode,
-            endpoints,
-            path_oracle,
-            evidence=question.evidence,
-        )
-        row = {
-            **question_fields(question),
-            "sources": list(result.sources),
-            "destinations": list(result.destinations),
-            "paths": [list(path.tables) for path in result.candidates.paths],
-            "union_tables": sorted(result.candidates.union_tables, key=str.casefold),
-            "chosen_tables": sorted(result.chosen_tables, key=str.casefold),
-            "chosen_path_id": result.chosen_path_id,
-            "selection_rule": result.selection_rule,
-            "degraded": result.degraded,
-            "warnings": list(result.warnings),
-            "filtered_schema": render_filtered_schema(
-                schema, result.chosen_tables, result.induced_fk_edges
-            ),
-            "join_path": render_join_path(result),
-            "error": None,
-        }
-        return _with_usage(row, client, "token_usage")
-
-    def error_row(question: Question, exc: Exception) -> dict:
-        log.warning("question %s failed: %s", question.question_id, exc)
-        row = {**question_fields(question), "error": _error_payload(exc)}
-        return _with_usage(row, client, "token_usage")
+    def work(question: Question, pending: list[int]) -> list[dict]:
+        client.pop_usage()  # drop what anything before this question left behind
+        linker = None
+        rendered: dict[int, dict] = {}  # by id() of a result; the linker keeps each alive
+        rows = []
+        for i in pending:
+            row = {
+                "question_id": question.question_id,
+                "db_id": question.db_id,
+                "question": question.text,
+                "evidence": question.evidence,
+                "difficulty": question.difficulty,
+                "mode": mode_names[i],
+                "error": None,
+            }
+            try:
+                if linker is None:
+                    schema, graph = repo.schema(question.db_id), repo.graph(question.db_id)
+                    linker = link(
+                        question.text, schema, graph, endpoints, path_oracle, question.evidence
+                    )
+                result = linker(modes[i])
+                fields = rendered.get(id(result))
+                if fields is None:
+                    fields = rendered[id(result)] = {
+                        "sources": list(result.sources),
+                        "destinations": list(result.destinations),
+                        "paths": [list(path.tables) for path in result.candidates.paths],
+                        "union_tables": sorted(result.candidates.union_tables, key=str.casefold),
+                        "chosen_tables": sorted(result.chosen_tables, key=str.casefold),
+                        "chosen_path_id": result.chosen_path_id,
+                        "selection_rule": result.selection_rule,
+                        "degraded": result.degraded,
+                        "warnings": list(result.warnings),
+                        "filtered_schema": render_filtered_schema(
+                            schema, result.chosen_tables, result.induced_fk_edges
+                        ),
+                        "join_path": render_join_path(result),
+                    }
+                row.update(fields)
+            except Exception as exc:  # recorded inline; the other modes and the run continue
+                log.warning("%s: question %s failed: %s", mode_names[i], question.question_id, exc)
+                row["error"] = _error_payload(exc)
+            rows.append(_with_usage(row, client, "token_usage"))
+        return rows
 
     items = {question.question_id: question for question in questions}
-    return _run_rows(items, out_path, work, error_row, "error", client, config)
+    return _run_rows(items, out_paths, work, "error", client, config)
 
 
 # Drops the language tag on the opening fence line, and the tag of an inline
@@ -450,37 +457,34 @@ def run_generation(
     client = client if client is not None else config.build_client()
     generator_model = config.generator_model or config.linker_model
 
-    def work(row: dict) -> dict:
+    def work(row: dict, pending: list[int]) -> list[dict]:
         client.pop_usage()  # drop what anything before this row left behind
         sql, problem = None, "linking failed upstream"
-        if not row.get("error"):
-            if config.baseline:
-                schema_text = render_schema(repo.schema(row["db_id"]))
-            else:
-                schema_text = row["filtered_schema"]
-            request = render_sql_gen_prompt(
-                row["question"],
-                schema_text,
-                join_path_text=None if config.baseline else row["join_path"],
-                evidence=row.get("evidence"),
-                baseline=config.baseline,
-                model_name=generator_model,
-                temperature=config.generate_temperature,
-            )
-            sql = extract_sql_reply(client.complete(request))
-            problem = "no SQL found in reply"
-        failure = None if sql else {"code": "GENERATION_FAILED", "message": problem}
+        try:
+            if not row.get("error"):
+                if config.baseline:
+                    schema_text = render_schema(repo.schema(row["db_id"]))
+                else:
+                    schema_text = row["filtered_schema"]
+                request = render_sql_gen_prompt(
+                    row["question"],
+                    schema_text,
+                    join_path_text=None if config.baseline else row["join_path"],
+                    evidence=row.get("evidence"),
+                    baseline=config.baseline,
+                    model_name=generator_model,
+                    temperature=config.generate_temperature,
+                )
+                sql = extract_sql_reply(client.complete(request))
+                problem = "no SQL found in reply"
+            failure = None if sql else {"code": "GENERATION_FAILED", "message": problem}
+        except Exception as exc:  # recorded inline; the run continues
+            log.warning("generation for %s failed: %s", row["question_id"], exc)
+            failure = _error_payload(exc)
         out = {**row, "predicted_sql": sql, "generation_error": failure}
-        return _with_usage(out, client, "generation_token_usage")
+        return [_with_usage(out, client, "generation_token_usage")]
 
-    def error_row(row: dict, exc: Exception) -> dict:
-        log.warning("generation for %s failed: %s", row["question_id"], exc)
-        out = {**row, "predicted_sql": None, "generation_error": _error_payload(exc)}
-        return _with_usage(out, client, "generation_token_usage")
-
-    return _run_rows(
-        rows, Path(out_path), work, error_row, "generation_error", client, config
-    )
+    return _run_rows(rows, [Path(out_path)], work, "generation_error", client, config)[0]
 
 
 @dataclass(frozen=True)
@@ -651,12 +655,13 @@ def run_sweep(
     Writes per-mode link outputs and reports under out_dir, then a
     grid.csv/grid.json comparing schema metrics across modes. ``modes``
     defaults to all seven; a mode named twice, aliases included, runs once
-    at its first place, and an empty list is a ValueError. Each question's
-    source/destination request is shared by all modes of this call; the
-    first mode that links a question makes the request, so a mode whose
-    link file is complete asks nothing. Shortest paths and gold table sets
-    are kept by ``repo``.
-    The result holds each mode's linking RunOutcome under "outcomes".
+    at its first place, and an empty list is a ValueError. Linking makes
+    one pass over the questions: the first mode where a question is
+    pending makes its source/destination request, and modes keeping the
+    same endpoints share its candidate set. Each mode's link file fails,
+    resumes and carries token usage on its own, so a mode whose file is
+    complete asks nothing. Shortest paths and gold table sets are kept by
+    ``repo``. The result holds each mode's linking RunOutcome under "outcomes".
     """
     names = MODE_PRESETS if modes is None else modes
     mode_names = list(dict.fromkeys(canonical_mode_name(m) for m in names))
@@ -665,25 +670,11 @@ def run_sweep(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else base_config.build_client()
-    oracle = LlmEndpointOracle(client, base_config.linker_model, base_config.link_temperature)
-    extractions: dict[tuple[str, str, str | None], EndpointExtraction] = {}
-
-    def endpoints(question: str, schema: Schema, evidence: str | None) -> EndpointExtraction:
-        key = (question, schema.database_id, evidence)
-        found = extractions.get(key)
-        if found is None:
-            # Record-mode threads may race here; the first equal value wins.
-            found = extractions.setdefault(key, oracle(question, schema, evidence))
-        return found
+    link_paths = [out_dir / f"link_{mode_name}.jsonl" for mode_name in mode_names]
+    linked = _link_questions(questions, mode_names, base_config, repo, link_paths, client)
 
     grid_rows = []
-    outcomes: dict[str, RunOutcome] = {}
-    for mode_name in mode_names:
-        config = replace(base_config, mode=mode_name)
-        link_path = out_dir / f"link_{mode_name}.jsonl"
-        outcomes[mode_name] = _link_questions(
-            questions, config, repo, link_path, client, endpoints
-        )
+    for mode_name, link_path in zip(mode_names, link_paths):
         report = run_evaluation(link_path, questions, repo, report_dir=out_dir / mode_name)
         overall = report.summary["overall"]
         scores = {column: overall[column] for column in GRID_COLUMNS[2:]}
@@ -704,5 +695,5 @@ def run_sweep(
         "grid_csv": grid_csv,
         "grid_json": grid_json,
         "rows": grid_rows,
-        "outcomes": outcomes,
+        "outcomes": dict(zip(mode_names, linked)),
     }

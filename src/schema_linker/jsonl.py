@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import LinkerError
 
@@ -101,31 +101,24 @@ class JsonlAppender:
 
 
 def append_rows(
-    path: Path,
+    paths: Sequence[Path],
     items: Sequence[T],
-    work: Callable[[T], dict],
-    on_error: Callable[[T, Exception], dict],
+    rows: Callable[[T], Iterable[tuple[int, dict]]],
     error_field: str,
     workers: int = 1,
-) -> int:
-    """Append one row per item to path, in item order; return the failures.
+) -> list[int]:
+    """Append each item's rows to paths, in item order; return each path's failures.
 
-    Each row is ``work(item)``, or ``on_error(item, exc)`` run on the same
-    thread when work raises. A failure is a row whose ``error_field`` is
-    set. One worker runs every item on the calling thread; more run them
-    on that many threads. Each row is flushed as soon as it is written.
+    ``rows(item)`` gives (index into paths, row) pairs; a failure is a row
+    whose ``error_field`` is set. One worker runs every item on the calling
+    thread, more run them on that many threads. Rows are flushed as written.
     """
-
-    def row_for(item: T) -> dict:
-        try:
-            return work(item)
-        except Exception as exc:  # recorded inline; the run continues
-            return on_error(item, exc)
-
-    failed = 0
+    failed = [0] * len(paths)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with JsonlAppender(path) as sink, pool:
-        for row in pool.map(row_for, items) if workers > 1 else map(row_for, items):
-            failed += row.get(error_field) is not None
-            sink.write(row)
+    with ExitStack() as stack, pool:
+        sinks = [stack.enter_context(JsonlAppender(path)) for path in paths]
+        for pairs in pool.map(rows, items) if workers > 1 else map(rows, items):
+            for i, row in pairs:
+                failed[i] += row.get(error_field) is not None
+                sinks[i].write(row)
     return failed

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -362,47 +363,63 @@ def link(
     question: str,
     schema: Schema,
     graph: SchemaGraph,
-    config: LinkerConfig,
     endpoints: EndpointOracle,
     path_oracle: PathOracle | None = None,
     evidence: str | None = None,
-) -> LinkResult:
-    """Run the full linking pipeline for one question.
+) -> Callable[[LinkerConfig], LinkResult]:
+    """Link one question; the returned function gives its result under a config.
 
-    ``endpoints`` nominates source and destination tables for the question;
-    ``path_oracle`` resolves ties between multiple candidates. With a
-    replayed transcript both are pure, making the whole call deterministic.
+    ``endpoints`` nominates source and destination tables on the first call,
+    and again after a failed request; ``path_oracle`` resolves ties between
+    candidates. For this question only, candidate sets are kept by the
+    nominated (sources, destinations) that a config keeps, and results by
+    those and ``longest`` and ``union_mode``: configs with one such plan
+    share one result object.
     """
-    extraction = endpoints(question, schema, evidence)
-    candidates = build_candidates(
-        graph, extraction.sources, extraction.destinations, config
-    )
-    selector = None
-    if path_oracle is not None:
-        selector = lambda lines: path_oracle(question, lines)  # noqa: E731
-    selection = select_path(candidates, config, selector, graph=graph)
+    extraction = None
+    candidate_sets: dict[tuple, CandidateSet] = {}
+    results: dict[tuple, LinkResult] = {}
+    selector = None if path_oracle is None else partial(path_oracle, question)
 
-    chosen_keys = {table.casefold() for table in selection.chosen_tables}
-    keys = schema.foreign_keys
-    positions = sorted(i for table in chosen_keys for i in schema.keys_by_source.get(table, ()))
-    induced = tuple(keys[i] for i in positions if keys[i].to_table.casefold() in chosen_keys)
-    augmented = tuple(
-        fk
-        for fk in graph.augmented_keys
-        if fk.from_table.casefold() in chosen_keys and fk.to_table.casefold() in chosen_keys
-    )
-    warnings = (
-        tuple(extraction.warnings) + candidates.diagnostics + selection.warnings
-    )
-    return LinkResult(
-        sources=tuple(extraction.sources),
-        destinations=tuple(extraction.destinations),
-        candidates=candidates,
-        chosen_tables=selection.chosen_tables,
-        chosen_path_id=selection.chosen_path_id,
-        induced_fk_edges=induced,
-        augmented_join_edges=augmented,
-        selection_rule=selection.rule,
-        warnings=warnings,
-        degraded=bool(getattr(extraction, "degraded", False)),
-    )
+    def link_config(config: LinkerConfig) -> LinkResult:
+        nonlocal extraction
+        if extraction is None:
+            extraction = endpoints(question, schema, evidence)
+        sources, destinations = tuple(extraction.sources), tuple(extraction.destinations)
+        kept = (
+            sources[:1] if config.keep_sources is EndpointKeep.ONE else sources,
+            destinations[:1] if config.keep_destinations is EndpointKeep.ONE else destinations,
+        )
+        plan = (kept, config.longest, config.union_mode)
+        if plan in results:
+            return results[plan]
+        candidates = candidate_sets.get(kept)
+        if candidates is None:
+            candidates = candidate_sets[kept] = build_candidates(graph, *kept, config)
+        selection = select_path(candidates, config, selector, graph=graph)
+
+        chosen_keys = {table.casefold() for table in selection.chosen_tables}
+        keys = schema.foreign_keys
+        positions = sorted(i for t in chosen_keys for i in schema.keys_by_source.get(t, ()))
+        induced = tuple(keys[i] for i in positions if keys[i].to_table.casefold() in chosen_keys)
+        augmented = tuple(
+            fk
+            for fk in graph.augmented_keys
+            if fk.from_table.casefold() in chosen_keys and fk.to_table.casefold() in chosen_keys
+        )
+        warnings = tuple(extraction.warnings) + candidates.diagnostics + selection.warnings
+        results[plan] = LinkResult(
+            sources=sources,
+            destinations=destinations,
+            candidates=candidates,
+            chosen_tables=selection.chosen_tables,
+            chosen_path_id=selection.chosen_path_id,
+            induced_fk_edges=induced,
+            augmented_join_edges=augmented,
+            selection_rule=selection.rule,
+            warnings=warnings,
+            degraded=bool(getattr(extraction, "degraded", False)),
+        )
+        return results[plan]
+
+    return link_config

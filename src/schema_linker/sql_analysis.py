@@ -347,14 +347,13 @@ def render_join_path(result: "LinkResult") -> str:
         if path.length == 0:
             return f"{path.tables[0]} (no joins required)"
         arrow = " -> ".join(path.tables)
+        by_pair: dict[frozenset[str], list[str]] = {}
+        for fk in all_edges:
+            pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
+            by_pair.setdefault(pair, []).append(join_condition(fk))
         conditions: list[str] = []
         for a, b in zip(path.tables, path.tables[1:]):
-            pair = {a.casefold(), b.casefold()}
-            conditions.extend(
-                join_condition(fk)
-                for fk in all_edges
-                if {fk.from_table.casefold(), fk.to_table.casefold()} == pair
-            )
+            conditions.extend(by_pair.get(frozenset((a.casefold(), b.casefold())), ()))
         conditions = list(dict.fromkeys(conditions))
         if conditions:
             return f"{arrow} ({', '.join(conditions)})"

@@ -36,6 +36,7 @@ from schema_linker.llm import (
     PromptId,
     render_sql_gen_prompt,
 )
+from schema_linker.pathfinder import UnionMode
 from schema_linker.schema_model import Schema
 
 from conftest import ALL_MODES, read_rows
@@ -792,6 +793,42 @@ class TestTokenUsage:
         assert failures[str(NO_SQL_QUESTION)]["code"] == "GENERATION_FAILED"
         assert failures[str(FAILING_QUESTION)]["message"] == "linking failed upstream"
 
+    @pytest.mark.parametrize("workers,hold", [(1, 0), (4, 4)])
+    def test_sweep_rows_hold_their_own_tokens(
+        self, usage_endpoint, questions, repo, tmp_path, monkeypatch, workers, hold
+    ):
+        endpoint = usage_endpoint(hold)
+        monkeypatch.setenv(API_URL_ENV, endpoint.url)
+        config = RunConfig(
+            cache_path=tmp_path / "cache.jsonl", cache_mode="record", workers=workers
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_sweep(questions, config, repo, tmp_path / "sweep")
+        finally:
+            sys.setswitchinterval(interval)
+        # The first mode's row holds the endpoint request; a later row holds
+        # only a selector request that no earlier mode of its question sent.
+        asked = {question.question_id: set() for question in questions}
+        total, repeats = Counter(), 0
+        for mode in ALL_MODES:
+            settings = pathfinder.preset(mode)
+            asks = not settings.longest and settings.union_mode is not UnionMode.FORCE_UNION
+            for row in read_rows(tmp_path / "sweep" / f"link_{mode}.jsonl"):
+                question_id = row["question_id"]
+                spent = mode == ALL_MODES[0]
+                if asks and not row["error"] and len(row["paths"]) > 1:
+                    prompt = (str(row["paths"]), settings.union_mode)
+                    spent += prompt not in asked[question_id]
+                    repeats += prompt in asked[question_id]
+                    asked[question_id].add(prompt)
+                expected = {f"q{question_id}": spent} if spent else None
+                assert row.get("token_usage") == expected, (mode, question_id)
+                total.update(row.get("token_usage") or {})
+        assert repeats and len(asked["1"]) > 1  # shared prompts; one question asks in two modes
+        assert total == endpoint.spent
+
 
 def torn(lines: list[str], keep: int) -> str:
     """The first ``keep`` lines plus half of the next, as a killed run leaves them."""
@@ -1404,6 +1441,37 @@ class TestSweepSharing:
         for path in files:
             name = path.relative_to(recorded.dir)
             assert (tmp_path / "sweep" / name).read_bytes() == path.read_bytes(), name
+
+    def test_modes_fail_independently(self, questions, repo, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        recorder = CachingClient(TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record")
+        config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=1)
+        run_linking(questions, config, repo, tmp_path / "mode7.jsonl", client=recorder)
+        replay = RunConfig(cache_path=cache_path)
+        swept = tmp_path / "sweep"
+        run_sweep(questions, replay, repo, swept, client=replay_client(cache_path))
+        linked = read_rows(tmp_path / "mode7.jsonl")
+        failures = 0
+        for mode in ALL_MODES:
+            rows = read_rows(swept / f"link_{mode}.jsonl")
+            failed = {row["question_id"]: row["error"]["code"] for row in rows if row["error"]}
+            expected = {}
+            if mode not in ("mode5", "mode7"):  # only these two never ask the selector
+                settings = pathfinder.preset(mode)
+                for row in linked:
+                    found = pathfinder.build_candidates(
+                        repo.graph(row["db_id"]), row["sources"], row["destinations"], settings
+                    )
+                    if len(found.paths) > 1:
+                        expected[row["question_id"]] = "CACHE_MISS"
+            assert failed == expected, mode
+            failures += len(failed)
+            alone = tmp_path / "alone" / f"link_{mode}.jsonl"
+            run_linking(
+                questions, replace(replay, mode=mode), repo, alone, client=replay_client(cache_path)
+            )
+            assert alone.read_bytes() == (swept / f"link_{mode}.jsonl").read_bytes(), mode
+        assert 0 < failures < 5 * len(questions)
 
     def test_sweep_matches_standalone_runs(self, recorded, questions, repo, tmp_path):
         # Question 11 has no transcript, so replay fails its row in every

@@ -412,10 +412,9 @@ class TestLinkKeyOrderMatchesReference:
                     "q",
                     schema,
                     graph,
-                    preset(rng.choice(list(MODE_PRESETS))),
                     self.endpoints(sources, destinations),
                     path_oracle=lambda question, lines: rng.randint(1, len(lines)),
-                )
+                )(preset(rng.choice(list(MODE_PRESETS))))
                 induced, augmented = reference_keys(schema, graph, result.chosen_tables)
                 assert result.induced_fk_edges == induced
                 assert result.augmented_join_edges == augmented
@@ -564,9 +563,8 @@ class TestLinkPipeline:
             "units per product for Alice",
             retail_schema,
             retail_graph,
-            MODE7,
             self.endpoints(("customers",), ("products",)),
-        )
+        )(MODE7)
         assert result.union_selected
         assert result.chosen_path_id is None
         assert result.selection_rule == "forced_union"
@@ -590,10 +588,9 @@ class TestLinkPipeline:
             "q",
             retail_schema,
             retail_graph,
-            MODE4,
             self.endpoints(("customers",), ("products",)),
             path_oracle=lambda question, lines: 1,
-        )
+        )(MODE4)
         assert not result.union_selected
         assert result.chosen_path().tables == (
             "customers",
@@ -615,14 +612,13 @@ class TestLinkPipeline:
             "q",
             retail_schema,
             retail_graph,
-            MODE7,
             self.endpoints(
                 ("customers",),
                 ("customers",),
                 warnings=("unknown table 'shipments' dropped from reply",),
                 degraded=True,
             ),
-        )
+        )(MODE7)
         assert result.degraded
         assert any("shipments" in w for w in result.warnings)
 
@@ -646,9 +642,8 @@ class TestLinkPipeline:
             "q",
             schema,
             graph,
-            MODE7,
             self.endpoints(("employee",), ("office",)),
-        )
+        )(MODE7)
         induced = {(fk.from_table, fk.to_table) for fk in result.induced_fk_edges}
         assert ("employee", "employee") in induced
         assert ("employee", "office") in induced
@@ -663,8 +658,8 @@ class TestLinkPipeline:
         )
         graph = augment_sparse_graph(build_graph(schema), schema)
         result = link(
-            "q", schema, graph, MODE7, self.endpoints(("a",), ("b",))
-        )
+            "q", schema, graph, self.endpoints(("a",), ("b",))
+        )(MODE7)
         assert result.induced_fk_edges == ()
         (fk,) = result.augmented_join_edges
         assert (fk.from_table, fk.to_table) == ("a", "b")

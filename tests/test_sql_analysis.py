@@ -4,7 +4,7 @@ import pytest
 
 from schema_linker.errors import ParseError, UnknownTableError
 from schema_linker.llm import EndpointExtraction
-from schema_linker.pathfinder import MODE_PRESETS, link
+from schema_linker.pathfinder import MODE_PRESETS, CandidateSet, JoinPath, LinkResult, link
 from schema_linker.schema_model import (
     ColumnDef,
     FkProvenance,
@@ -13,6 +13,7 @@ from schema_linker.schema_model import (
     TableDef,
     augment_sparse_graph,
     build_graph,
+    join_condition,
 )
 from schema_linker.sql_analysis import (
     extract_tables,
@@ -198,9 +199,8 @@ class TestJoinPathRendering:
             "q",
             retail_schema,
             retail_graph,
-            MODE_PRESETS["mode4"],
             scripted(("orders",), ("customers",)),
-        )
+        )(MODE_PRESETS["mode4"])
         assert result.selection_rule == "sole_candidate"
         assert (
             render_join_path(result)
@@ -212,9 +212,8 @@ class TestJoinPathRendering:
             "q",
             retail_schema,
             retail_graph,
-            MODE_PRESETS["mode7"],
             scripted(("orders",), ("customers",)),
-        )
+        )(MODE_PRESETS["mode7"])
         assert (
             render_join_path(result)
             == "customers, orders\njoins:\norders.customer_id = customers.customer_id"
@@ -225,9 +224,8 @@ class TestJoinPathRendering:
             "q",
             retail_schema,
             retail_graph,
-            MODE_PRESETS["mode7"],
             scripted(("customers",), ("customers",)),
-        )
+        )(MODE_PRESETS["mode7"])
         assert render_join_path(result) == "customers (no joins required)"
 
     def test_zero_length_path_needs_no_joins(self, retail_schema, retail_graph):
@@ -235,9 +233,8 @@ class TestJoinPathRendering:
             "q",
             retail_schema,
             retail_graph,
-            MODE_PRESETS["mode4"],
             scripted(("customers",), ("customers",)),
-        )
+        )(MODE_PRESETS["mode4"])
         assert result.chosen_path_id == 1
         assert render_join_path(result) == "customers (no joins required)"
 
@@ -246,13 +243,86 @@ class TestJoinPathRendering:
             "q",
             retail_schema,
             retail_graph,
-            MODE_PRESETS["mode4"],
             scripted(("customers",), ("products",)),
             path_oracle=lambda question, lines: 1,
-        )
+        )(MODE_PRESETS["mode4"])
         assert render_join_path(result) == (
             "customers -> orders -> order_items -> products "
             "(orders.customer_id = customers.customer_id, "
             "order_items.order_id = orders.order_id, "
             "order_items.product_id = products.product_id)"
         )
+
+
+def reference_join_path(result) -> str:
+    """render_join_path with every key compared against every step of the path."""
+    all_edges = tuple(result.induced_fk_edges) + tuple(result.augmented_join_edges)
+    path = result.chosen_path()
+    if path is not None:
+        if path.length == 0:
+            return f"{path.tables[0]} (no joins required)"
+        arrow = " -> ".join(path.tables)
+        conditions = []
+        for a, b in zip(path.tables, path.tables[1:]):
+            pair = {a.casefold(), b.casefold()}
+            conditions.extend(
+                join_condition(fk)
+                for fk in all_edges
+                if {fk.from_table.casefold(), fk.to_table.casefold()} == pair
+            )
+        conditions = list(dict.fromkeys(conditions))
+        if conditions:
+            return f"{arrow} ({', '.join(conditions)})"
+        return arrow
+    tables = sorted(result.chosen_tables, key=str.casefold)
+    if len(tables) == 1:
+        return f"{tables[0]} (no joins required)"
+    lines = [", ".join(tables)]
+    conditions = list(dict.fromkeys(join_condition(fk) for fk in all_edges))
+    if conditions:
+        lines.append("joins:")
+        lines.extend(conditions)
+    return "\n".join(lines)
+
+
+class TestJoinPathMatchesReference:
+    def test_random_graphs_concrete_and_union_selections(self):
+        rng = random.Random(2718)
+        names = ["alpha", "Beta", "GAMMA", "delta", "Epsilon", "zeta"]
+        spelled = lambda name: name.swapcase() if rng.random() < 0.3 else name  # noqa: E731
+        joined_paths = joined_unions = 0
+        for _ in range(500):
+            tables = rng.sample(names, rng.randint(1, len(names)))
+            # Repeated columns repeat conditions; a key may reference its own table.
+            keys = [
+                ForeignKeyEdge(
+                    spelled(rng.choice(tables)),
+                    f"c{rng.randint(0, 3)}",
+                    spelled(rng.choice(tables)),
+                    rng.choice(["id", "ID"]),
+                )
+                for _ in range(rng.randint(0, 12))
+            ]
+            split = rng.randint(0, len(keys))
+            paths = tuple(
+                JoinPath(tuple(rng.sample(tables, rng.randint(1, len(tables)))))
+                for _ in range(rng.randint(1, 3))
+            )
+            union = frozenset(table for path in paths for table in path.tables)
+            path_id = rng.choice([None, *range(1, len(paths) + 2)])
+            concrete = path_id is not None and path_id <= len(paths)
+            result = LinkResult(
+                sources=(),
+                destinations=(),
+                candidates=CandidateSet(paths, union),
+                chosen_tables=frozenset(paths[path_id - 1].tables) if concrete else union,
+                chosen_path_id=path_id,
+                induced_fk_edges=tuple(keys[:split]),
+                augmented_join_edges=tuple(keys[split:]),
+            )
+            rendered = render_join_path(result)
+            assert rendered == reference_join_path(result), result
+            joined_paths += concrete and rendered.endswith(")") and "no joins" not in rendered
+            joined_unions += not concrete and "joins:" in rendered
+        assert joined_paths > 50
+        assert joined_unions > 50

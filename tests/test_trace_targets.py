@@ -12,8 +12,9 @@ from collections import Counter
 from pathlib import Path
 
 from schema_linker import CachingClient, RunConfig, SchemaRepository, TranscriptCache, harness
-from schema_linker.pathfinder import MODE_PRESETS
+from schema_linker.pathfinder import MODE_PRESETS, EndpointKeep
 
+from conftest import read_rows
 from toy_corpus import ScriptedBackend
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -58,4 +59,21 @@ def test_sweep_work_runs_inside_traced_spans(monkeypatch, questions, schema_root
     modes = len(MODE_PRESETS)
     assert spans["harness.run_sweep"] == 1
     assert spans["harness.run_evaluation"] == modes
-    assert spans["pathfinder.build_candidates"] == modes * len(questions)
+    # One link per question; one merge per distinct kept (sources, destinations).
+    assert spans["pathfinder.link"] == len(questions)
+    assert spans["pathfinder.build_candidates"] == sum(
+        len({kept_endpoints(row, config) for config in MODE_PRESETS.values()})
+        for row in read_rows(tmp_path / "recorded" / "link_mode4.jsonl")
+    )
+
+
+def kept_endpoints(row: dict, config) -> tuple:
+    """The sources and destinations of a link row that config keeps."""
+
+    def kept(names, keep):
+        return tuple(names[:1] if keep is EndpointKeep.ONE else names)
+
+    return (
+        kept(row["sources"], config.keep_sources),
+        kept(row["destinations"], config.keep_destinations),
+    )
