@@ -9,6 +9,7 @@ network-free. A cache miss in replay mode is fatal by design.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -138,16 +139,50 @@ def _normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def request_digest(request: CompletionRequest) -> str:
-    """Stable content digest identifying a request in the transcript cache."""
+_QUESTION_MARKER = "Question: "
+
+
+def _canonical_blob(model_name: str, system_text: str, user_text: str, temperature: float) -> str:
     payload = {
-        "model": request.model_name,
-        "system": _normalize_newlines(request.system_text),
-        "user": _normalize_newlines(request.user_text),
-        "temperature": round(float(request.temperature), 6),
+        "model": model_name,
+        "system": _normalize_newlines(system_text),
+        "user": _normalize_newlines(user_text),
+        "temperature": temperature,
     }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=128)
+def _head_state(model_name: str, system_text: str, temperature: str, head: str):
+    """SHA-256 state that has absorbed the blob up to the end of head + marker.
+
+    ``sort_keys`` puts "user" last, so the blob ends with the user string
+    and ``"}``; the state stops just before both closing characters.
+    """
+    blob = _canonical_blob(model_name, system_text, head + _QUESTION_MARKER, float(temperature))
+    return hashlib.sha256(blob[:-2].encode("utf-8"))
+
+
+def request_digest(request: CompletionRequest) -> str:
+    """Stable content digest identifying a request in the transcript cache.
+
+    It is the SHA-256 of the request's canonical JSON. The part of the user
+    text before its last "Question: " (a schema, the same for every question
+    on it) is hashed once per distinct head; each request hashes only its
+    tail. JSON escapes one code point at a time and the marker ends with a
+    space, so escaping and newline normalisation never straddle the split.
+    """
+    temperature = round(float(request.temperature), 6)
+    head, _, tail = request.user_text.rpartition(_QUESTION_MARKER)
+    if not head:
+        blob = _canonical_blob(
+            request.model_name, request.system_text, request.user_text, temperature
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    # repr, not the float: 0.0 and -0.0 are one key but dump differently.
+    state = _head_state(request.model_name, request.system_text, repr(temperature), head).copy()
+    state.update((json.dumps(_normalize_newlines(tail))[1:] + "}").encode("utf-8"))
+    return state.hexdigest()
 
 
 def _fill(template: str, values: dict[str, str]) -> str:

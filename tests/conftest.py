@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import sqlite3
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from schema_linker import (
 )
 from schema_linker.errors import ParseError
 from schema_linker.jsonl import read_jsonl
+from schema_linker.llm import CompletionRequest
 
 from toy_corpus import ScriptedBackend, write_corpus
 
@@ -26,6 +29,22 @@ ALL_MODES = ["mode1", "mode2", "mode3", "mode4", "mode5", "mode6", "mode7"]
 def read_rows(path: Path) -> list[dict]:
     """Every row of a run output, in file order."""
     return list(read_jsonl(path, ParseError, "run output"))
+
+
+def reference_digest(request: CompletionRequest) -> str:
+    """The transcript cache digest, computed in one pass over the whole blob."""
+
+    def normalize(text: str) -> str:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
+    payload = {
+        "model": request.model_name,
+        "system": normalize(request.system_text),
+        "user": normalize(request.user_text),
+        "temperature": round(float(request.temperature), 6),
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 import sys
 import threading
@@ -39,8 +40,8 @@ from schema_linker.llm import (
 from schema_linker.pathfinder import UnionMode
 from schema_linker.schema_model import Schema
 
-from conftest import ALL_MODES, read_rows
-from reference_render import reference_render
+from conftest import ALL_MODES, read_rows, reference_digest
+from reference_render import reference_render, wide_schema
 from toy_corpus import (
     CORPUS,
     DB_ID,
@@ -655,6 +656,125 @@ class TestRowRunner:
         assert 2 < len(appends) <= 2 + len(ALL_MODES)
         assert all(handle.closed for handle in appends)
         assert len(digested) == client.cache_hits + client.backend_calls
+
+
+class EvidenceBackend:
+    """Answers each endpoint prompt with the reply its question's evidence holds.
+
+    Evidence "retry:<reply>" gets an unusable first reply and <reply> on the
+    nudged retry. Path selection picks the first candidate, and generation
+    answers a constant query.
+    """
+
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        if request.system_text == SYSTEM_PROMPTS[PromptId.SRC_DST]:
+            nudged = request.user_text.endswith(RETRY_NUDGE)
+            wanted = request.user_text.removesuffix("\n\n" + RETRY_NUDGE)
+            wanted = wanted.rpartition("Evidence: ")[2]
+            if wanted.startswith("retry:"):
+                return wanted.removeprefix("retry:") if nudged else "no tables"
+            return wanted
+        if request.system_text == SYSTEM_PROMPTS[PromptId.PATH_SELECT]:
+            return "Final Answer: path_id: 1"
+        return "```sql\nSELECT 1\n```"
+
+
+@pytest.fixture
+def two_shops(tmp_path):
+    """The toy questions spread over two copies of the toy database."""
+    schema_root = tmp_path / "schemas"
+    databases = ("shop_a", "shop_b")
+    for db_id in databases:
+        build_database(schema_root / db_id / f"{db_id}.sqlite")
+    questions = [
+        Question(str(row["question_id"]), databases[i % 2], row["question"], row["evidence"])
+        for i, row in enumerate(CORPUS)
+    ]
+    return SchemaRepository(schema_root), questions
+
+
+class TestRequestDigestMemo:
+    """The digest memoises each schema's prompt head and keeps its old value."""
+
+    def test_cache_recorded_with_the_one_pass_digest_replays(self, tmp_path, monkeypatch):
+        schema = wide_schema(100, 200)
+        write_schema_document(schema, tmp_path / "schemas" / "wide" / "schema.json")
+        repo = SchemaRepository(tmp_path / "schemas")
+        rng = random.Random(5)
+        questions = []
+        for i in range(6):
+            src, dst = rng.sample(schema.table_names, 2)
+            text = f"Which rows join {src}\r\nand {dst}?"
+            text += "\r\nQuestion: why?" if i == 1 else ""
+            evidence = ("retry:" if i == 2 else "") + f"src={src}, dst={dst}"
+            questions.append(Question(str(i), "wide", text, evidence))
+        cache_path = tmp_path / "cache.jsonl"
+        config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record", workers=1)
+        backend = EvidenceBackend()
+        recorder = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        with monkeypatch.context() as patched:
+            patched.setattr(llm, "request_digest", reference_digest)
+            run_linking(questions, config, repo, tmp_path / "link.jsonl", client=recorder)
+            recorded = run_generation(tmp_path / "link.jsonl", config, client=recorder)
+        assert sum(RETRY_NUDGE in request.user_text for request in backend.requests) == 1
+        assert by_prompt(backend.requests, PromptId.PATH_SELECT)
+
+        llm._head_state.cache_clear()
+        replayer = replay_client(cache_path)
+        config = replace(config, cache_mode="replay")
+        linked = run_linking(questions, config, repo, tmp_path / "replay.jsonl", client=replayer)
+        generated = run_generation(tmp_path / "replay.jsonl", config, client=replayer)
+        assert (linked.failed, generated.failed) == (0, 0)
+        assert replayer.cache_hits == recorder.backend_calls == len(backend.requests)
+        assert read_rows(tmp_path / "replay.jsonl") == read_rows(tmp_path / "link.jsonl")
+        assert read_rows(generated.path) == read_rows(recorded.path)
+        assert llm._head_state.cache_info().hits > 0
+
+    def test_record_workers_store_the_one_pass_digest(self, two_shops, tmp_path):
+        repo, questions = two_shops
+        cache_path = tmp_path / "cache.jsonl"
+        backend = ScriptedBackend()
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record", workers=4)
+        linked = run_linking(questions, config, repo, tmp_path / "link.jsonl", client=client)
+        generated = run_generation(tmp_path / "link.jsonl", config, client=client)
+        assert (linked.failed, generated.failed) == (0, 0)
+        records = read_rows(cache_path)
+        assert len(records) == client.backend_calls
+        assert {"Database: shop_a", "Database: shop_b"} <= {
+            record["user"].split("\n", 1)[0] for record in records
+        }
+        for record in records:
+            request = CompletionRequest(
+                record["model"], record["system"], record["user"], record["temperature"]
+            )
+            assert record["digest"] == reference_digest(request), record["user"][-80:]
+
+    def test_memo_holds_one_head_per_database(self, two_shops, tmp_path):
+        repo, questions = two_shops
+        head_state = llm._head_state
+        head_state.cache_clear()
+        cache_path = tmp_path / "cache.jsonl"
+        backend = ScriptedBackend(endpoint_overrides={1: "no tables here"})
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record", workers=1)
+        run_linking(questions, config, repo, tmp_path / "link.jsonl", client=client)
+        endpoint = by_prompt(backend.requests, PromptId.SRC_DST)
+        assert sum(RETRY_NUDGE in request.user_text for request in endpoint) == 1
+        assert by_prompt(backend.requests, PromptId.PATH_SELECT)
+        linked = head_state.cache_info()
+        # One miss per database's head; nudged retries and path selection add none.
+        assert (linked.currsize, linked.misses) == (2, 2)
+        assert linked.hits + linked.misses == len(endpoint)
+
+        generated = run_generation(tmp_path / "link.jsonl", config, client=client)
+        assert generated.failed == 0
+        assert head_state.cache_info() == linked
+        assert linked.currsize <= linked.maxsize == 128
 
 
 FAILING_QUESTION = 3

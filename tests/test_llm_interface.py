@@ -1,10 +1,12 @@
 import json
 import os
+import random
 import re
 import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -35,9 +37,12 @@ from schema_linker.llm import (
     render_src_dst_prompt,
     request_digest,
 )
+from schema_linker.pathfinder import build_candidates, preset, render_candidate_lines
+from schema_linker.schema_model import build_graph
 from schema_linker.sql_analysis import render_schema
 
-from conftest import read_rows
+from conftest import read_rows, reference_digest
+from reference_render import wide_schema
 
 
 def req(model="m", system="s", user="u", temperature=0.2):
@@ -72,6 +77,79 @@ class TestRequestDigest:
     )
     def test_every_field_participates(self, change):
         assert request_digest(req(**change)) != request_digest(req())
+
+
+DIGEST_PIECES = [
+    "a", "\r", "\n", "\r\n", '"', "\\", "é", "\U0001f600", "\ud800", "\x00",
+    "Question: ", "\nQuestion: ",
+]  # fmt: skip
+
+
+def random_text(rng, most=12, pieces=DIGEST_PIECES):
+    return "".join(rng.choices(pieces, k=rng.randint(0, most)))
+
+
+def rendered_requests(schema, questions):
+    """Every kind of request the pipeline renders for these questions on schema."""
+    graph = build_graph(schema)
+    names = list(schema.table_names)
+    candidates = build_candidates(graph, names[:2], names[-2:], preset("mode4"))
+    lines = render_candidate_lines(candidates, include_union=True, graph=graph)
+    for text in questions:
+        for question in (text, f"Question: {text}", f"{text}\r\nQuestion: again?\r"):
+            for evidence in (None, "Question: x\r\nEvidence: y", "\r"):
+                request = render_src_dst_prompt(question, schema, evidence)
+                yield request
+                yield replace(request, user_text=request.user_text + "\n\n" + RETRY_NUDGE)
+                yield render_path_select_prompt(question, lines)
+                for baseline in (False, True):
+                    yield render_sql_gen_prompt(
+                        question,
+                        render_schema(schema),
+                        join_path_text=lines[0],
+                        evidence=evidence,
+                        baseline=baseline,
+                    )
+
+
+class TestDigestMatchesReference:
+    """The digest hashes a shared head once, yet equals the one-pass digest."""
+
+    def test_random_requests(self):
+        rng = random.Random(2718)
+        models, systems = ["m", "modèle", ""], ["s", "a\r\nb\r", SYSTEM_PROMPTS[PromptId.SRC_DST]]
+        temperatures = [0.2, 0.2000000004, 0.0, -0.0, 1, 0.3]
+        # Repeated heads exercise memo hits; free draws overflow its bound.
+        tail_pieces = [piece for piece in DIGEST_PIECES if "Question" not in piece]
+        keys = [
+            (rng.choice(models), rng.choice(systems), rng.choice(temperatures), random_text(rng))
+            for _ in range(60)
+        ]
+        head_state = schema_linker.llm._head_state
+        head_state.cache_clear()
+        for _ in range(20_000):
+            if rng.random() < 0.5:
+                model, system, temperature, head = rng.choice(keys)
+                user = head + "Question: " + random_text(rng, pieces=tail_pieces)
+            else:
+                model, system = rng.choice(models), rng.choice(systems)
+                temperature, user = rng.choice(temperatures), random_text(rng, 24)
+            request = req(model, system, user, temperature)
+            assert request_digest(request) == reference_digest(request), request
+        info = head_state.cache_info()
+        assert info.hits > 5_000 and info.currsize <= info.maxsize
+
+    def test_rendered_requests(self, questions, retail_schema):
+        texts = [question.text for question in questions]
+        head_state = schema_linker.llm._head_state
+        head_state.cache_clear()
+        count = 0
+        for schema in (retail_schema, wide_schema(100, 200)):
+            for request in rendered_requests(schema, texts):
+                assert request_digest(request) == reference_digest(request), request
+                count += 1
+        assert count == 2 * len(texts) * 9 * 5
+        assert head_state.cache_info().hits > 0
 
 
 class TestPromptRendering:
