@@ -105,7 +105,9 @@ class SchemaRepository:
     A database directory supplies either ``<db_id>.sqlite`` or, failing
     that, ``schema.json``; the SQLite file wins when both exist. Everything
     is kept for the repository's lifetime, including the shortest paths
-    that linking searches on each graph (``SchemaGraph.path_cache``).
+    that linking enumerates on each graph (``SchemaGraph.path_cache``). A
+    degraded question adds none there, and a pair of a capped candidate
+    set (see ``pathfinder.build_candidates``) stores no paths.
     """
 
     def __init__(self, root: str | Path):

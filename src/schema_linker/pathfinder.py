@@ -147,12 +147,14 @@ class LinkResult:
         return self.candidates.paths[self.chosen_path_id - 1]
 
 
-def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]:
-    """Every simple path of minimal length from src to dst.
+def _shortest_path_dag(
+    graph: SchemaGraph, src: str, dst: str
+) -> tuple[str, str, dict[str, list[str]], int]:
+    """Breadth-first search from src that stops after dst's layer.
 
-    Identical endpoints yield the single zero-length path; unreachable
-    endpoints yield an empty list. Results are ordered lexicographically by
-    table-name sequence.
+    Returns both ends resolved; for each node reached, its neighbours one
+    layer nearer src; and the number of shortest paths from src to dst,
+    counted as the search goes (Brandes' sigma), 0 when dst is unreachable.
     """
     start = graph.resolve_node(src)
     goal = graph.resolve_node(dst)
@@ -160,12 +162,13 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
         raise UnknownTableError(f"not a table in this graph: {src!r}")
     if goal is None:
         raise UnknownTableError(f"not a table in this graph: {dst!r}")
+    preds: dict[str, list[str]] = {start: []}
     if start == goal:
-        return [JoinPath((start,))]
+        return start, goal, preds, 1
 
     adjacency = graph.adjacency
     dist: dict[str, int] = {start: 0}
-    preds: dict[str, list[str]] = {}
+    sigma: dict[str, int] = {start: 1}
     queue: deque[str] = deque([start])
     goal_dist: int | None = None
     while queue:
@@ -177,12 +180,37 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
             if neighbor not in dist:
                 dist[neighbor] = depth + 1
                 preds[neighbor] = [node]
+                sigma[neighbor] = sigma[node]
                 if neighbor == goal:
                     goal_dist = depth + 1
                 queue.append(neighbor)
             elif dist[neighbor] == depth + 1:
                 preds[neighbor].append(node)
-    if goal not in dist:
+                sigma[neighbor] += sigma[node]
+    return start, goal, preds, sigma.get(goal, 0)
+
+
+def _path_tables(preds: dict[str, list[str]], goal: str) -> set[str]:
+    """Every table on a shortest path to a reachable goal."""
+    seen = {goal}
+    stack = [goal]
+    while stack:
+        for pred in preds[stack.pop()]:
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+    return seen
+
+
+def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]:
+    """Every simple path of minimal length from src to dst.
+
+    Identical endpoints yield the single zero-length path; unreachable
+    endpoints yield an empty list. Results are ordered lexicographically by
+    table-name sequence.
+    """
+    start, goal, preds, count = _shortest_path_dag(graph, src, dst)
+    if not count:
         return []
 
     sequences: list[tuple[str, ...]] = []
@@ -205,6 +233,10 @@ def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
     return list(first.values())
 
 
+# More merged paths than this are not enumerated: every mode takes their union.
+MAX_CANDIDATES = 64
+
+
 def build_candidates(
     graph: SchemaGraph,
     sources: Sequence[str],
@@ -216,8 +248,16 @@ def build_candidates(
     Paths identical up to reversal are stored once, oriented as the
     lexicographically smaller sequence. A disconnected pair contributes
     both endpoints as standalone single-table candidates plus a diagnostic
-    instead of failing the question. Each pair is searched once per graph:
-    its paths are kept in ``graph.path_cache``.
+    instead of failing the question.
+
+    The merged paths are counted before any is built. When there are more
+    than ``MAX_CANDIDATES``, none is built: the set has no paths, its union
+    is every table on a shortest path of a kept pair (plus the standalone
+    endpoints), and a diagnostic names the count and the cap.
+
+    Each pair of tables, in either order, is searched once per graph: its
+    enumerated paths are kept in ``graph.path_cache``. A pair of a capped
+    set stores nothing there.
     """
     src_list = _dedupe_keep_order(sources)
     dst_list = _dedupe_keep_order(destinations)
@@ -233,33 +273,62 @@ def build_candidates(
     diagnostics: list[str] = []
     collected: dict[tuple[str, ...], JoinPath] = {}
     cache = graph.path_cache
+    searched: dict[tuple[str, str], tuple] = {}  # uncached pairs: (ends, preds, goal, count)
     for src, dst in product(src_list, dst_list):
-        key = (src.casefold(), dst.casefold())
-        found = cache.get(key)
-        if found is None:  # record-mode threads may race here; the first equal value wins
-            found = all_shortest_paths(graph, src, dst)
-            if key[1] < key[0]:  # store each path as merged: from the end that sorts first
-                found = [JoinPath(path.tables[::-1]) for path in found]
-            found = cache.setdefault(key, tuple(found))
-        if found:
+        a, b = src.casefold(), dst.casefold()
+        key = (a, b) if a <= b else (b, a)  # one entry per pair of tables
+        if searched and key in searched:  # met reversed earlier in this call
+            count = searched[key][3]
+        elif (found := cache.get(key)) is not None:
             collected.update((path.tables, path) for path in found)
+            count = len(found)
         else:
+            # From the end that sorts first: each path comes out oriented as merged.
+            ends = (src, dst) if a <= b else (dst, src)
+            start, goal, preds, count = _shortest_path_dag(graph, *ends)
+            searched[key] = (ends, preds, goal, count)
+            if start == goal:
+                collected[(start,)] = JoinPath((start,))
+        if not count:
             diagnostics.append(
                 f"no join path between {src!r} and {dst!r}; keeping both as "
                 "standalone candidates"
             )
             for name in (src, dst):
                 resolved = graph.resolve_node(name)
-                assert resolved is not None
                 collected[(resolved,)] = JoinPath((resolved,))
 
-    paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
-    union = frozenset(table for path in paths for table in path.tables)
+    # A path of two or more tables joins one pair only, so the count is exact.
+    total = len(collected)
+    if searched:
+        total += sum(entry[3] for (lo, hi), entry in searched.items() if lo != hi)
+    capped = total > MAX_CANDIDATES
+    if capped:
+        paths: tuple[JoinPath, ...] = ()
+        union = {table for tables in collected for table in tables}
+        for _, preds, goal, count in searched.values():
+            if count:
+                union |= _path_tables(preds, goal)
+    else:
+        for key, (ends, *_) in searched.items():
+            found = all_shortest_paths(graph, *ends)
+            # record-mode threads may race here; the first equal value wins
+            found = cache.setdefault(key, tuple(found))
+            collected.update((path.tables, path) for path in found)
+        paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
+        union = (table for path in paths for table in path.tables)
     if diagnostics:
         # Exactly when a pair has no join path: when all are joined, any two
         # paths meet through a third that shares an endpoint with each.
         diagnostics.append("union of candidate paths is not a connected subgraph")
-    return CandidateSet(paths=paths, union_tables=union, diagnostics=tuple(diagnostics))
+    if capped:
+        diagnostics.append(
+            f"{total} candidate paths exceed the cap of {MAX_CANDIDATES}; "
+            "none enumerated, linking to their union"
+        )
+    return CandidateSet(
+        paths=paths, union_tables=frozenset(union), diagnostics=tuple(diagnostics)
+    )
 
 
 def render_path(path: JoinPath, graph: SchemaGraph | None = None) -> str:
@@ -305,13 +374,16 @@ def select_path(
 ) -> PathSelection:
     """Pick the final table set from a candidate set.
 
-    Selection order: forced union, then the deterministic longest-path rule,
-    then a sole candidate wins outright, and only then is the selector
-    consulted. An unusable selector verdict falls back to the union so a
-    question never dies on a malformed reply.
+    Selection order: a capped set (no paths, a union) gives its union, then
+    forced union, then the deterministic longest-path rule, then a sole
+    candidate wins outright, and only then is the selector consulted. An
+    unusable selector verdict falls back to the union so a question never
+    dies on a malformed reply.
     """
     if not candidates.paths:
-        raise ValueError("candidate set is empty")
+        if not candidates.union_tables:
+            raise ValueError("candidate set is empty")
+        return PathSelection(candidates.union_tables, None, "capped_union")
     if config.union_mode is UnionMode.FORCE_UNION:
         return PathSelection(candidates.union_tables, None, "forced_union")
     if config.longest:
@@ -371,7 +443,9 @@ def link(
 
     ``endpoints`` nominates source and destination tables on the first call,
     and again after a failed request; ``path_oracle`` resolves ties between
-    candidates. For this question only, candidate sets are kept by the
+    candidates. A degraded extraction links every config to the whole
+    schema under rule ``degraded_union``, with no search and no selector
+    call. Otherwise, for this question only, candidate sets are kept by the
     nominated (sources, destinations) that a config keeps, and results by
     those and ``longest`` and ``union_mode``: configs with one such plan
     share one result object.
@@ -386,17 +460,23 @@ def link(
         if extraction is None:
             extraction = endpoints(question, schema, evidence)
         sources, destinations = tuple(extraction.sources), tuple(extraction.destinations)
+        degraded = bool(getattr(extraction, "degraded", False))
         kept = (
             sources[:1] if config.keep_sources is EndpointKeep.ONE else sources,
             destinations[:1] if config.keep_destinations is EndpointKeep.ONE else destinations,
         )
-        plan = (kept, config.longest, config.union_mode)
+        plan = None if degraded else (kept, config.longest, config.union_mode)
         if plan in results:
             return results[plan]
-        candidates = candidate_sets.get(kept)
-        if candidates is None:
-            candidates = candidate_sets[kept] = build_candidates(graph, *kept, config)
-        selection = select_path(candidates, config, selector, graph=graph)
+        if degraded:
+            tables = frozenset(schema.table_names)
+            candidates = CandidateSet(paths=(), union_tables=tables)
+            selection = PathSelection(tables, None, "degraded_union")
+        else:
+            candidates = candidate_sets.get(kept)
+            if candidates is None:
+                candidates = candidate_sets[kept] = build_candidates(graph, *kept, config)
+            selection = select_path(candidates, config, selector, graph=graph)
 
         chosen_keys = {table.casefold() for table in selection.chosen_tables}
         keys = schema.foreign_keys
@@ -418,7 +498,7 @@ def link(
             augmented_join_edges=augmented,
             selection_rule=selection.rule,
             warnings=warnings,
-            degraded=bool(getattr(extraction, "degraded", False)),
+            degraded=degraded,
         )
         return results[plan]
 

@@ -226,7 +226,7 @@ class SchemaGraph:
 
     @cached_property
     def path_cache(self) -> dict[tuple[str, str], tuple]:
-        """Shortest paths by casefolded (src, dst), oriented as ``build_candidates`` merges."""
+        """Shortest paths by casefolded table pair, smaller first, oriented as merged."""
         return {}
 
     @cached_property

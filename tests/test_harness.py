@@ -1527,8 +1527,15 @@ class TestSweepSharing:
         config = RunConfig(cache_path=recorded.cache_path)
         run_sweep(questions, config, fresh, tmp_path / "sweep", client=client)
         assert set(searched.values()) == {1}
-        # Question 3 degrades to every table on both sides.
-        assert len(searched) > len(questions)
+        # Question 3 degrades to the whole schema and searches no pair.
+        scripted = {
+            frozenset((src, dst))
+            for row in CORPUS
+            if row["question_id"] != 3
+            for src in row["src"].split(",")
+            for dst in row["dst"].split(",")
+        }
+        assert {frozenset(pair) for pair in searched} <= scripted
         assert set(extracted.values()) == {1}
         assert len(extracted) == len(questions)
 
@@ -1622,3 +1629,33 @@ class TestSweepSharing:
                 assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
         summary = json.loads((swept / "mode7" / "summary.json").read_text(encoding="utf-8"))
         assert summary["extraction_failures"]["count"] == 1
+
+
+class TestDegradedQuestion:
+    """An unusable endpoint reply links every mode to the whole schema."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_row_takes_every_table_without_search_or_selector(
+        self, mode, questions, schema_root, tmp_path
+    ):
+        fresh = SchemaRepository(schema_root)
+        graph = fresh.graph(DB_ID)
+        before = dict(graph.path_cache)
+        cache_path = tmp_path / "cache.jsonl"
+        client = RequestLog(
+            TranscriptCache(cache_path),
+            backend=ScriptedBackend(endpoint_overrides={3: "no tables here"}),
+            mode="record",
+        )
+        config = RunConfig(mode=mode, cache_path=cache_path, cache_mode="record", workers=1)
+        degraded = [question for question in questions if question.question_id == "3"]
+        run_linking(degraded, config, fresh, tmp_path / "link.jsonl", client=client)
+        (row,) = read_rows(tmp_path / "link.jsonl")
+        assert row["degraded"] and row["error"] is None
+        every_table = sorted(fresh.schema(DB_ID).table_names, key=str.casefold)
+        assert row["chosen_tables"] == row["union_tables"] == every_table
+        assert row["paths"] == []
+        assert row["chosen_path_id"] is None
+        assert row["selection_rule"] == "degraded_union"
+        assert by_prompt(client.sent, PromptId.PATH_SELECT) == []
+        assert graph.path_cache == before

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from schema_linker.errors import (
 )
 from schema_linker.llm import EndpointExtraction
 from schema_linker.pathfinder import (
+    MAX_CANDIDATES,
     CandidateSet,
     EndpointKeep,
     JoinPath,
@@ -19,6 +21,8 @@ from schema_linker.pathfinder import (
     MODE_LABELS,
     MODE_PRESETS,
     UnionMode,
+    _path_tables,
+    _shortest_path_dag,
     canonical_mode_name,
     link,
     render_candidate_lines,
@@ -663,3 +667,170 @@ class TestLinkPipeline:
         assert result.induced_fk_edges == ()
         (fk,) = result.augmented_join_edges
         assert (fk.from_table, fk.to_table) == ("a", "b")
+
+
+class TestDegradedLink:
+    def test_every_mode_shares_one_whole_schema_result(self, retail_schema, retail_graph):
+        extraction = EndpointExtraction(
+            sources=("customers",),
+            destinations=("customers",),
+            warnings=("endpoint extraction failed",),
+            degraded=True,
+        )
+        before = dict(retail_graph.path_cache)
+
+        def no_selector(question, lines):
+            raise AssertionError("selector must not be consulted")
+
+        linker = link(
+            "q", retail_schema, retail_graph, lambda *args: extraction, no_selector
+        )
+        results = [linker(config) for config in MODE_PRESETS.values()]
+        result = results[0]
+        assert all(other is result for other in results)
+        assert result.chosen_tables == frozenset(retail_schema.table_names)
+        assert result.candidates.union_tables == result.chosen_tables
+        assert result.candidates.paths == ()
+        assert result.chosen_path_id is None and result.union_selected
+        assert result.selection_rule == "degraded_union"
+        assert result.induced_fk_edges == retail_schema.foreign_keys
+        assert result.warnings == ("endpoint extraction failed",)
+        assert result.degraded
+        assert retail_graph.path_cache == before
+
+
+def grid_adjacency(n: int) -> dict[str, set[str]]:
+    """An n x n lattice of tables r<i>c<j>."""
+    adj: dict[str, set[str]] = {f"r{i}c{j}": set() for i in range(n) for j in range(n)}
+    for i in range(n):
+        for j in range(n):
+            for a, b in ((i, j + 1), (i + 1, j)):
+                if a < n and b < n:
+                    adj[f"r{i}c{j}"].add(f"r{a}c{b}")
+                    adj[f"r{a}c{b}"].add(f"r{i}c{j}")
+    return adj
+
+
+def bare_schema(graph: SchemaGraph) -> Schema:
+    return Schema(
+        database_id="d",
+        tables=tuple(TableDef(name=name, columns=(ColumnDef("id"),)) for name in graph.nodes),
+    )
+
+
+def timed_link(graph, sources, destinations, config, selector):
+    extraction = EndpointExtraction(sources=sources, destinations=destinations)
+    started = time.process_time()
+    result = link("q", bare_schema(graph), graph, lambda *args: extraction, selector)(config)
+    assert time.process_time() - started < 5.0
+    return result
+
+
+def assert_capped(result, count: int, union: set[str]) -> None:
+    assert result.candidates.paths == ()
+    assert result.chosen_tables == result.candidates.union_tables == frozenset(union)
+    assert result.chosen_path_id is None
+    assert result.selection_rule == "capped_union"
+    assert f"{count} candidate paths exceed the cap of {MAX_CANDIDATES}" in result.warnings[-1]
+
+
+class TestCandidateCap:
+    @pytest.mark.parametrize("mode", list(MODE_PRESETS))
+    @pytest.mark.parametrize("n, count", [(5, 70), (10, 48620)])
+    def test_grid_corner_to_corner_links_to_the_union(self, mode, n, count):
+        adj = grid_adjacency(n)
+        graph = graph_from_adjacency(adj)
+        corners = ("r0c0",), (f"r{n - 1}c{n - 1}",)
+        result = timed_link(graph, *corners, preset(mode), never_called)
+        # Every cell lies on a shortest corner-to-corner path; brute force
+        # enumerates every simple path, which is too slow past 5 x 5.
+        union = brute_union(adj, *corners) if n == 5 else set(adj)
+        assert_capped(result, count, union)
+        assert graph.path_cache == {}
+
+    @pytest.mark.parametrize("mode", list(MODE_PRESETS))
+    def test_complete_graph_with_many_endpoints(self, mode):
+        adj = {f"t{i:02d}": {f"t{j:02d}" for j in range(40) if j != i} for i in range(40)}
+        graph = graph_from_adjacency(adj)
+        sources = tuple(f"t{i:02d}" for i in range(10))
+        destinations = tuple(f"t{i:02d}" for i in range(10, 20))
+        config = preset(mode)
+        kept_sources = sources[:1] if config.keep_sources is EndpointKeep.ONE else sources
+        kept_destinations = (
+            destinations[:1] if config.keep_destinations is EndpointKeep.ONE else destinations
+        )
+        shown = []
+
+        def selector(question, lines):
+            shown.append(lines)
+            return 1
+
+        result = timed_link(graph, sources, destinations, config, selector)
+        # Each pair of a complete graph has one shortest path: the edge itself.
+        count = len(kept_sources) * len(kept_destinations)
+        union = set(kept_sources) | set(kept_destinations)
+        if count > MAX_CANDIDATES:
+            assert_capped(result, count, union)
+            assert shown == []
+        else:  # a mode keeping one end of a side sees at most ten paths
+            assert len(result.candidates.paths) == count
+            assert result.candidates.union_tables == frozenset(union)
+            assert all(len(lines) <= count + 1 for lines in shown)
+
+    def test_cap_is_exclusive_and_a_capped_pair_stores_nothing(self):
+        def fan(width):
+            middles = [f"m{i:02d}" for i in range(width)]
+            adj = {"a": set(middles), "b": set(middles)}
+            adj.update((m, {"a", "b"}) for m in middles)
+            return graph_from_adjacency(adj)
+
+        at_cap = fan(MAX_CANDIDATES)
+        candidates = build_candidates(at_cap, ["a"], ["b"], MODE4)
+        assert len(candidates.paths) == MAX_CANDIDATES
+        assert candidates.diagnostics == ()
+        assert len(at_cap.path_cache[("a", "b")]) == MAX_CANDIDATES
+
+        over = fan(MAX_CANDIDATES + 1)
+        candidates = build_candidates(over, ["b"], ["a"], MODE4)
+        assert candidates.paths == ()
+        assert candidates.union_tables == frozenset(over.nodes)
+        assert candidates.diagnostics == (
+            f"{MAX_CANDIDATES + 1} candidate paths exceed the cap of {MAX_CANDIDATES}; "
+            "none enumerated, linking to their union",
+        )
+        assert over.path_cache == {}
+
+    def test_reversed_pairs_are_counted_once(self):
+        middles = [f"m{i:02d}" for i in range(40)]
+        adj = {"a": set(middles), "b": set(middles)}
+        adj.update((m, {"a", "b"}) for m in middles)
+        graph = graph_from_adjacency(adj)
+        # (a, b) and (b, a) merge into 40 paths, plus a and b alone: 42.
+        candidates = build_candidates(graph, ["a", "b"], ["b", "a"], MODE4)
+        assert len(candidates.paths) == 42
+
+    def test_capped_disconnected_pairs_keep_both_ends(self):
+        adj = grid_adjacency(5)
+        adj["island"] = set()
+        graph = graph_from_adjacency(adj)
+        sources, destinations = ["r0c0", "island"], ["r4c4"]
+        candidates = build_candidates(graph, sources, destinations, MODE4)
+        assert candidates.paths == ()
+        assert set(candidates.union_tables) == brute_union(adj, sources, destinations)
+        assert candidates.diagnostics[0].startswith("no join path between 'island' and 'r4c4'")
+        assert candidates.diagnostics[1] == "union of candidate paths is not a connected subgraph"
+        assert candidates.diagnostics[2].startswith("72 candidate paths exceed the cap")
+
+    def test_count_and_tables_match_the_enumeration_on_random_graphs(self):
+        rng = random.Random(500)
+        for _ in range(200):
+            adj = random_adjacency(rng, rng.randint(2, 10), 0.3)
+            graph = graph_from_adjacency(adj)
+            for src in adj:
+                for dst in adj:
+                    paths = all_shortest_paths(graph, src, dst)
+                    _, goal, preds, count = _shortest_path_dag(graph, src, dst)
+                    assert count == len(paths), (adj, src, dst)
+                    if paths:
+                        tables = {table for path in paths for table in path.tables}
+                        assert _path_tables(preds, goal) == tables, (adj, src, dst)
