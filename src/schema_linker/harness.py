@@ -161,13 +161,15 @@ class SchemaRepository:
     def gold_tables(self, question: Question) -> frozenset[str]:
         """The tables that ``question``'s gold SQL reads, extracted once per query.
 
-        A gold query that cannot be parsed raises ParseError on every call.
+        Gold SQL that cannot be parsed or names an unknown table raises ParseError on every call.
         """
         key = (question.db_id, question.gold_sql)
         found = self._gold.get(key)
         if found is None:
-            tables = extract_tables(question.gold_sql, self.schema(question.db_id)).tables
-            found = self._gold.setdefault(key, tables)
+            refs = extract_tables(question.gold_sql, self.schema(question.db_id))
+            if refs.unresolved:
+                raise ParseError(f"gold SQL names unknown tables: {', '.join(refs.unresolved)}")
+            found = self._gold.setdefault(key, refs.tables)
         return found
 
 
@@ -534,11 +536,12 @@ def run_evaluation(
     """Score a run against gold SQL and write summary.json + per_question.csv.
 
     Gold table sets come from extracting table references out of each gold
-    query. Questions whose gold SQL cannot be parsed are excluded from the
-    schema aggregates and reported separately, as are gold queries that fail
-    to execute when execution checking is on. A generated row without SQL
-    is an execution miss. Report output is byte-stable for a given run
-    output. Gold table sets are kept by ``repo``.
+    query. Questions whose gold SQL cannot be parsed or names a table the
+    schema lacks are excluded from the schema aggregates and reported
+    separately, as are gold queries that fail to execute when execution
+    checking is on. A generated row without SQL is an execution miss.
+    Report output is byte-stable for a given run output. Gold table sets
+    are kept by ``repo``.
     """
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -153,6 +155,23 @@ class Schema:
 
         tables = {table.name.casefold(): table_ddl(table) for table in self.tables}
         return tables, {fk: foreign_key_ddl(fk) for fk in self.foreign_keys}
+
+    @cached_property
+    def compile_database(self) -> tuple[sqlite3.Connection, threading.Lock]:
+        """An in-memory database of table and column names for ``extract_tables``, and its lock."""
+        from .sql_analysis import create_table
+
+        connection = sqlite3.connect(
+            ":memory:", isolation_level=None, check_same_thread=False, cached_statements=0
+        )
+        tables = "".join(create_table(table.name, table.columns) for table in self.tables)
+        try:
+            connection.executescript(f"PRAGMA page_size=512; BEGIN; {tables} COMMIT;")
+        except sqlite3.Error as exc:
+            connection.close()
+            raise ParseError(f"schema {self.database_id!r} does not compile: {exc}") from exc
+        weakref.finalize(self, connection.close)
+        return connection, threading.Lock()
 
     @cached_property
     def keys_by_source(self) -> dict[str, list[int]]:
@@ -331,7 +350,7 @@ def augment_sparse_graph(graph: SchemaGraph, schema: Schema) -> SchemaGraph:
     return SchemaGraph(nodes=graph.nodes, edges=tuple(edges))
 
 
-def _quote_pragma_ident(name: str) -> str:
+def quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
@@ -368,7 +387,7 @@ def ingest_sqlite(path: str | Path) -> Schema:
             for name in names:
                 info = list(
                     connection.execute(
-                        f"PRAGMA table_info({_quote_pragma_ident(name)})"
+                        f"PRAGMA table_info({quote_identifier(name)})"
                     )
                 )
                 columns = tuple(
@@ -390,7 +409,7 @@ def ingest_sqlite(path: str | Path) -> Schema:
             foreign_keys: list[ForeignKeyEdge] = []
             for table in tables:
                 rows = connection.execute(
-                    f"PRAGMA foreign_key_list({_quote_pragma_ident(table.name)})"
+                    f"PRAGMA foreign_key_list({quote_identifier(table.name)})"
                 )
                 for row in rows:
                     seq, target, from_col, to_col = row[1], row[2], row[3], row[4]

@@ -150,10 +150,12 @@ def golden_pipeline(tmp_path_factory, questions, repo):
 
 @pytest.fixture
 def sqlite_connections(monkeypatch):
-    """Log every sqlite3.connect target and how many connections are open.
+    """Log every sqlite3.connect to a database file and how many are open.
 
     ``opened`` lists each target in connect order; ``peak`` is the most
     connections that were open at once, and ``open`` the number still open.
+    In-memory databases, such as each schema's compile database, are not
+    logged.
     """
     log = SimpleNamespace(opened=[], open=0, peak=0)
     real_connect = sqlite3.connect
@@ -173,6 +175,8 @@ def sqlite_connections(monkeypatch):
             super().close()
 
     def connect(*args, **kwargs):
+        if args[0] == ":memory:":
+            return real_connect(*args, **kwargs)
         return real_connect(*args, factory=Tracked, **kwargs)
 
     monkeypatch.setattr(sqlite3, "connect", connect)

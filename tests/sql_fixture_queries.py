@@ -219,6 +219,61 @@ EXTRACTION_FIXTURES = [
         {"customers"},
         (),
     ),
+    (
+        "count_star_reads_no_column",
+        "SELECT COUNT(*) FROM customers",
+        {"customers"},
+        (),
+    ),
+    (
+        "constant_over_comma_list",
+        "SELECT 1 FROM customers c, orders",
+        {"customers", "orders"},
+        (),
+    ),
+    (
+        "exists_without_outer_from",
+        "SELECT EXISTS (SELECT 1 FROM orders)",
+        {"orders"},
+        (),
+    ),
+    (
+        "unknown_unqualified_column",
+        "SELECT ghost_column FROM customers JOIN orders "
+        "ON customers.customer_id = orders.customer_id",
+        {"customers", "orders"},
+        (),
+    ),
+    (
+        "joined_only_by_using",
+        "SELECT name FROM customers JOIN orders USING (customer_id)",
+        {"customers", "orders"},
+        (),
+    ),
+    (
+        "natural_join_reads_no_column",
+        "SELECT 1 FROM orders NATURAL JOIN reviews",
+        {"orders", "reviews"},
+        (),
+    ),
+    (
+        "scalar_subquery_without_where",
+        "SELECT (SELECT COUNT(*) FROM orders) FROM customers",
+        {"customers", "orders"},
+        (),
+    ),
+    (
+        "cte_body_ends_in_alias",
+        "WITH c AS (SELECT * FROM orders o) SELECT * FROM customers JOIN c ON 1 = 1",
+        {"customers", "orders"},
+        (),
+    ),
+    (
+        "unused_cte_reads_nothing",
+        "WITH c AS (SELECT * FROM orders) SELECT name FROM customers",
+        {"customers"},
+        (),
+    ),
 ]
 
 # Statements with no FROM clause at all; extraction must raise, not guess.
@@ -226,4 +281,6 @@ NO_FROM_QUERIES = [
     "SELECT 1",
     "SELECT 1 + 2 AS total",
     "INSERT INTO customers VALUES (9, 'Zoe', 'Lyon')",
+    "SELECT 'from orders'",
+    "SELECT 1 -- FROM orders",
 ]

@@ -1208,6 +1208,31 @@ class TestRunEvaluation:
         assert failures["count"] == 1
         assert failures["rows"][0]["question_id"] == "7"
 
+    def test_unresolved_gold_table_is_an_extraction_failure(
+        self, golden_pipeline, questions, repo, tmp_path
+    ):
+        from dataclasses import replace
+
+        gold_sql = (
+            "SELECT * FROM customers JOIN shipments "
+            "ON customers.customer_id = shipments.customer_id"
+        )
+        tweaked = [
+            replace(q, gold_sql=gold_sql) if q.question_id == "7" else q
+            for q in questions
+        ]
+        report = run_evaluation(
+            golden_pipeline.link_path, tweaked, repo, report_dir=tmp_path
+        )
+        summary = json.loads(report.summary_path.read_text(encoding="utf-8"))
+        assert summary["rows_evaluated"] == 9
+        assert summary["extraction_failures"]["rows"] == [
+            {
+                "question_id": "7",
+                "reason": "gold SQL names unknown tables: shipments",
+            }
+        ]
+
     def test_failing_gold_execution_is_reported(
         self, golden_pipeline, questions, repo, tmp_path
     ):

@@ -1,4 +1,6 @@
+import gc
 import random
+import sqlite3
 
 import pytest
 
@@ -45,6 +47,74 @@ class TestExtraction:
     def test_tables_use_canonical_casing(self, retail_schema):
         refs = extract_tables("SELECT * FROM ORDERS", retail_schema)
         assert refs.tables == frozenset({"orders"})
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT FROM customers",
+            "SELECT 1 FROM customers; SELECT 2 FROM orders",
+            "SELECT * FROM customers WHERE customer_id = ?",
+        ],
+    )
+    def test_text_sqlite_cannot_compile_raises(self, retail_schema, sql):
+        with pytest.raises(ParseError):
+            extract_tables(sql, retail_schema)
+
+
+class TestCompileDatabase:
+    """Each ``Schema`` owns one in-memory database that extraction compiles in."""
+
+    @staticmethod
+    def fresh(schema: Schema) -> Schema:
+        return Schema(schema.database_id, schema.tables, schema.foreign_keys)
+
+    def test_one_connection_serves_every_extraction(self, retail_schema, monkeypatch):
+        opened = []
+        real_connect = sqlite3.connect
+
+        def connect(*args, **kwargs):
+            opened.append(args[0])
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        schema = self.fresh(retail_schema)
+        for _, sql, tables, _ in EXTRACTION_FIXTURES:
+            assert set(extract_tables(sql, schema).tables) == tables
+        assert opened == [":memory:"]
+
+    def test_extraction_leaves_no_stub_or_column_behind(self, retail_schema):
+        schema = self.fresh(retail_schema)
+        connection, _ = schema.compile_database
+
+        def snapshot():
+            return connection.execute("SELECT type, name, sql FROM sqlite_master").fetchall()
+
+        before = snapshot()
+        refs = extract_tables(
+            "SELECT s.carrier FROM customers JOIN shipments s "
+            "ON customers.customer_id = s.customer_id",
+            schema,
+        )
+        assert refs.unresolved == ("shipments",)
+        extract_tables("SELECT ghost_column FROM customers", schema)
+        with pytest.raises(ParseError):
+            extract_tables("SELECT * FROM ghost WHERE", schema)
+        assert snapshot() == before
+        assert not connection.in_transaction
+
+    def test_dropping_the_schema_closes_its_connection(self, retail_schema):
+        schema = self.fresh(retail_schema)
+        extract_tables("SELECT * FROM orders", schema)
+        connection, _ = schema.compile_database
+        del schema
+        gc.collect()
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connection.execute("SELECT 1")
+
+    def test_a_schema_sqlite_rejects_is_a_parse_error(self):
+        schema = Schema("d", tables=(TableDef("sqlite_stats", (ColumnDef("x"),)),))
+        with pytest.raises(ParseError, match="does not compile"):
+            extract_tables("SELECT x FROM sqlite_stats", schema)
 
 
 CUSTOMERS_ORDERS_BLOCK = """CREATE TABLE customers (
