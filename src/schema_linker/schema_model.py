@@ -164,7 +164,9 @@ class Schema:
         connection = sqlite3.connect(
             ":memory:", isolation_level=None, check_same_thread=False, cached_statements=0
         )
-        tables = "".join(create_table(table.name, table.columns) for table in self.tables)
+        # SQLite reserves "sqlite_..." names; only a query reading such a table fails.
+        kept = (table for table in self.tables if table.name[:7].lower() != "sqlite_")
+        tables = "".join(create_table(table.name, table.columns) for table in kept)
         try:
             connection.executescript(f"PRAGMA page_size=512; BEGIN; {tables} COMMIT;")
         except sqlite3.Error as exc:

@@ -38,6 +38,7 @@ _MISSING_RE = re.compile(
     r"no such table: (?i:main\.)?(?P<table>.+)|no such column: (?:.*\.)?(.+)"
     r"|cannot join using column (.+) - column not present in both tables"
 )
+_PLAIN_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def create_table(name: str, columns: Iterable[ColumnDef]) -> str:
@@ -59,20 +60,14 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
     keywords = {match.group(1).upper() for match in _KEYWORD_RE.finditer(sql) if match.group(1)}
     if "FROM" not in keywords:
         raise ParseError("no FROM clause found in query text")
-    reads: dict[str, str] = {}
+    calls: list[tuple[int, str | None, str | None, str | None, str | None]] = []
     stubs: dict[str, str] = {}
 
-    def authorize(action: int, table: str, _column, database: str | None, _source) -> int:
-        # A table read without a column, as in COUNT(*), comes with no database.
-        if action == sqlite3.SQLITE_READ and database in ("main", None):
-            reads.setdefault(table.casefold(), table)
-        return sqlite3.SQLITE_OK
-
     def explain() -> sqlite3.Cursor | str:
-        reads.clear()
+        calls.clear()
         try:
             return connection.execute("EXPLAIN " + sql)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, sqlite3.Warning) as exc:  # Python 3.10 warns on two statements
             return str(exc)
 
     def add_column(column: str, message: str) -> sqlite3.Cursor | str:
@@ -92,7 +87,7 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
 
     connection, lock = schema.compile_database
     with lock:
-        connection.set_authorizer(authorize)
+        connection.set_authorizer(lambda *call: calls.append(call) or sqlite3.SQLITE_OK)
         connection.execute("BEGIN")
         try:
             result = explain()
@@ -108,24 +103,34 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
                 connection.execute(create_table(name, known.columns if known else ()))
                 stubs.setdefault(name.casefold(), name)
                 result = explain()
+            # A read without a column, as in COUNT(*), has no database unless
+            # the name is qualified, and neither has one of a CTE; SQLite
+            # compiles a CTE's body with the CTE's name as the source.
+            ctes = {source.casefold() for *_, source in calls if source}
+            names = [
+                table
+                for action, table, _, database, _ in calls
+                if action == sqlite3.SQLITE_READ
+                and (database == "main" or database is None and table.casefold() not in ctes)
+            ]
             if keywords & {"USING", "NATURAL"}:
                 # The columns such a join matches on reach no authorizer, so a
                 # table joined only by them shows only as a B-tree opened.
                 pages = ", ".join(str(row[3]) for row in result if row[1] == "OpenRead")
                 opened = f"SELECT name FROM sqlite_master WHERE rootpage IN ({pages})"
-                reads.update((name.casefold(), name) for (name,) in connection.execute(opened))
+                names.extend(name for (name,) in connection.execute(opened))
         except sqlite3.Error as exc:  # as when a stub does not clear the message
             raise ParseError(str(exc)) from exc
         finally:
             connection.execute("ROLLBACK")
 
-    tables = {schema.resolve_table(name) for name in (*reads.values(), *stubs.values())}
+    tables = {schema.resolve_table(name) for name in (*names, *stubs.values())}
     unresolved = tuple(name for name in stubs.values() if schema.resolve_table(name) is None)
     return TableReferenceSet(tables=frozenset(tables - {None}), unresolved=unresolved)
 
 
 def _quote_ident(name: str) -> str:
-    return name if name.isascii() and name.isidentifier() else quote_identifier(name)
+    return name if _PLAIN_IDENT_RE.match(name) else quote_identifier(name)
 
 
 def table_ddl(table: TableDef) -> tuple[str, str]:

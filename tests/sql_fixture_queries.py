@@ -274,6 +274,18 @@ EXTRACTION_FIXTURES = [
         {"customers"},
         (),
     ),
+    (
+        "cte_named_like_a_table_reads_no_column",
+        "WITH orders AS (SELECT 1 AS n) SELECT COUNT(*) FROM orders",
+        set(),
+        (),
+    ),
+    (
+        "qualified_table_beside_a_cte_of_its_name",
+        "WITH orders AS (SELECT 1 AS n) SELECT COUNT(*) FROM orders, main.orders",
+        {"orders"},
+        (),
+    ),
 ]
 
 # Statements with no FROM clause at all; extraction must raise, not guess.

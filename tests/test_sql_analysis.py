@@ -111,10 +111,35 @@ class TestCompileDatabase:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             connection.execute("SELECT 1")
 
-    def test_a_schema_sqlite_rejects_is_a_parse_error(self):
-        schema = Schema("d", tables=(TableDef("sqlite_stats", (ColumnDef("x"),)),))
-        with pytest.raises(ParseError, match="does not compile"):
-            extract_tables("SELECT x FROM sqlite_stats", schema)
+    def test_two_statements_are_a_parse_error_where_sqlite3_warns(self, retail_schema):
+        # Python 3.10's sqlite3 raises Warning, not an Error, for a second statement.
+        schema = self.fresh(retail_schema)
+        connection, lock = schema.compile_database
+
+        class WarningConnection:
+            def __getattr__(self, name):
+                return getattr(connection, name)
+
+            def execute(self, sql):
+                if sql.startswith("EXPLAIN") and ";" in sql:
+                    raise sqlite3.Warning("You can only execute one statement at a time.")
+                return connection.execute(sql)
+
+        schema.__dict__["compile_database"] = (WarningConnection(), lock)
+        with pytest.raises(ParseError, match="one statement"):
+            extract_tables("SELECT 1 FROM customers; SELECT 2 FROM orders", schema)
+        assert extract_tables("SELECT * FROM orders", schema).tables == {"orders"}
+
+    def test_a_table_sqlite_reserves_fails_only_the_queries_naming_it(self):
+        tables = (
+            TableDef("sqlite_sequence", (ColumnDef("name"), ColumnDef("seq"))),
+            TableDef("orders", (ColumnDef("order_id"),)),
+        )
+        schema = Schema("d", tables=tables)
+        assert extract_tables("SELECT order_id FROM orders", schema).tables == {"orders"}
+        with pytest.raises(ParseError, match="reserved"):
+            extract_tables("SELECT seq FROM sqlite_sequence", schema)
+        assert extract_tables("SELECT COUNT(*) FROM orders", schema).tables == {"orders"}
 
 
 CUSTOMERS_ORDERS_BLOCK = """CREATE TABLE customers (
