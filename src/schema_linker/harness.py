@@ -161,7 +161,8 @@ class SchemaRepository:
     def gold_tables(self, question: Question) -> frozenset[str]:
         """The tables that ``question``'s gold SQL reads, extracted once per query.
 
-        Gold SQL that cannot be parsed or names an unknown table raises ParseError on every call.
+        Gold SQL that cannot be parsed, names an unknown table or reads no
+        schema table raises ParseError on every call.
         """
         key = (question.db_id, question.gold_sql)
         found = self._gold.get(key)
@@ -169,6 +170,8 @@ class SchemaRepository:
             refs = extract_tables(question.gold_sql, self.schema(question.db_id))
             if refs.unresolved:
                 raise ParseError(f"gold SQL names unknown tables: {', '.join(refs.unresolved)}")
+            if not refs.tables:
+                raise ParseError("gold SQL reads no schema table")
             found = self._gold.setdefault(key, refs.tables)
         return found
 
@@ -387,7 +390,7 @@ def _link_questions(
                         "filtered_schema": render_filtered_schema(
                             schema, result.chosen_tables, result.induced_fk_edges
                         ),
-                        "join_path": render_join_path(result),
+                        "join_path": render_join_path(result, graph),
                     }
                 row.update(fields)
             except Exception as exc:  # recorded inline; the other modes and the run continue

@@ -24,7 +24,7 @@ from .errors import (
     ReplyParseError,
     UnknownTableError,
 )
-from .schema_model import ForeignKeyEdge, Schema, SchemaGraph, join_condition
+from .schema_model import ForeignKeyEdge, Schema, SchemaGraph
 
 
 class EndpointKeep(str, Enum):
@@ -210,9 +210,11 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
     table-name sequence.
     """
     start, goal, preds, count = _shortest_path_dag(graph, src, dst)
-    if not count:
-        return []
+    return list(_dag_paths(start, goal, preds)) if count else []
 
+
+def _dag_paths(start: str, goal: str, preds: dict[str, list[str]]) -> tuple[JoinPath, ...]:
+    """Every path through a reachable goal's predecessor DAG, in name order."""
     sequences: list[tuple[str, ...]] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(goal, (goal,))]
     while stack:
@@ -223,7 +225,7 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
         for pred in preds[node]:
             stack.append((pred, (pred,) + tail))
     sequences.sort(key=lambda seq: tuple(t.casefold() for t in seq))
-    return [JoinPath(seq) for seq in sequences]
+    return tuple(JoinPath(seq) for seq in sequences)
 
 
 def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
@@ -250,10 +252,11 @@ def build_candidates(
     both endpoints as standalone single-table candidates plus a diagnostic
     instead of failing the question.
 
-    The merged paths are counted before any is built. When there are more
-    than ``MAX_CANDIDATES``, none is built: the set has no paths, its union
-    is every table on a shortest path of a kept pair (plus the standalone
-    endpoints), and a diagnostic names the count and the cap.
+    One search per pair counts its paths, and under the cap builds them
+    from that search's predecessor DAG. When there are more than
+    ``MAX_CANDIDATES`` in all, none is built: the set has no paths, its
+    union is every table on a shortest path of a kept pair (plus the
+    standalone endpoints), and a diagnostic names the count and the cap.
 
     Each pair of tables, in either order, is searched once per graph: its
     enumerated paths are kept in ``graph.path_cache``. A pair of a capped
@@ -273,7 +276,7 @@ def build_candidates(
     diagnostics: list[str] = []
     collected: dict[tuple[str, ...], JoinPath] = {}
     cache = graph.path_cache
-    searched: dict[tuple[str, str], tuple] = {}  # uncached pairs: (ends, preds, goal, count)
+    searched: dict[tuple[str, str], tuple] = {}  # uncached pairs: (start, goal, preds, count)
     for src, dst in product(src_list, dst_list):
         a, b = src.casefold(), dst.casefold()
         key = (a, b) if a <= b else (b, a)  # one entry per pair of tables
@@ -285,8 +288,8 @@ def build_candidates(
         else:
             # From the end that sorts first: each path comes out oriented as merged.
             ends = (src, dst) if a <= b else (dst, src)
-            start, goal, preds, count = _shortest_path_dag(graph, *ends)
-            searched[key] = (ends, preds, goal, count)
+            searched[key] = _shortest_path_dag(graph, *ends)
+            start, goal, _, count = searched[key]
             if start == goal:
                 collected[(start,)] = JoinPath((start,))
         if not count:
@@ -306,14 +309,14 @@ def build_candidates(
     if capped:
         paths: tuple[JoinPath, ...] = ()
         union = {table for tables in collected for table in tables}
-        for _, preds, goal, count in searched.values():
+        for _, goal, preds, count in searched.values():
             if count:
                 union |= _path_tables(preds, goal)
     else:
-        for key, (ends, *_) in searched.items():
-            found = all_shortest_paths(graph, *ends)
+        for key, (start, goal, preds, count) in searched.items():
+            found = _dag_paths(start, goal, preds) if count else ()
             # record-mode threads may race here; the first equal value wins
-            found = cache.setdefault(key, tuple(found))
+            found = cache.setdefault(key, found)
             collected.update((path.tables, path) for path in found)
         paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
         union = (table for path in paths for table in path.tables)
@@ -334,14 +337,7 @@ def build_candidates(
 def render_path(path: JoinPath, graph: SchemaGraph | None = None) -> str:
     """Render one candidate as "A -> B (join: A.x = B.y)"."""
     arrow = " -> ".join(path.tables)
-    if graph is None or path.length == 0:
-        return arrow
-    conditions: list[str] = []
-    for a, b in zip(path.tables, path.tables[1:]):
-        edge = graph.edge_between(a, b)
-        if edge is None:
-            continue
-        conditions.extend(join_condition(fk) for fk in edge.justifications)
+    conditions = graph.join_conditions(path.tables) if graph is not None else ()
     if conditions:
         return f"{arrow} (join: {', '.join(conditions)})"
     return arrow
@@ -441,9 +437,9 @@ def link(
 ) -> Callable[[LinkerConfig], LinkResult]:
     """Link one question; the returned function gives its result under a config.
 
-    ``endpoints`` nominates source and destination tables on the first call,
-    and again after a failed request; ``path_oracle`` resolves ties between
-    candidates. A degraded extraction links every config to the whole
+    ``endpoints`` nominates source and destination tables once; when it
+    raises, every config raises that error. ``path_oracle`` resolves ties
+    between candidates. A degraded extraction links every config to the whole
     schema under rule ``degraded_union``, with no search and no selector
     call. Otherwise, for this question only, candidate sets are kept by the
     nominated (sources, destinations) that a config keeps, and results by
@@ -458,7 +454,12 @@ def link(
     def link_config(config: LinkerConfig) -> LinkResult:
         nonlocal extraction
         if extraction is None:
-            extraction = endpoints(question, schema, evidence)
+            try:
+                extraction = endpoints(question, schema, evidence)
+            except Exception as exc:  # sent once; each pending config records it
+                extraction = exc
+        if isinstance(extraction, Exception):
+            raise extraction
         sources, destinations = tuple(extraction.sources), tuple(extraction.destinations)
         degraded = bool(getattr(extraction, "degraded", False))
         kept = (

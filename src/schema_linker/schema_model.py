@@ -266,6 +266,11 @@ class SchemaGraph:
     def edge_between(self, a: str, b: str) -> GraphEdge | None:
         return self._edge_map.get(_pair_key(a, b))
 
+    def join_conditions(self, tables: tuple[str, ...]) -> list[str]:
+        """Each step's justifying keys as join conditions, in path order."""
+        steps = (self.edge_between(a, b) for a, b in zip(tables, tables[1:]))
+        return [join_condition(fk) for edge in steps if edge for fk in edge.justifications]
+
     def has_edge(self, a: str, b: str) -> bool:
         return self.edge_between(a, b) is not None
 

@@ -16,7 +16,7 @@ from .schema_model import ForeignKeyEdge, Schema, TableDef, join_condition, quot
 
 if TYPE_CHECKING:
     from .pathfinder import LinkResult
-    from .schema_model import ColumnDef
+    from .schema_model import ColumnDef, SchemaGraph
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,13 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
             # the name is qualified, and neither has one of a CTE; SQLite
             # compiles a CTE's body with the CTE's name as the source.
             ctes = {source.casefold() for *_, source in calls if source}
-            names = [
-                table
-                for action, table, _, database, _ in calls
-                if action == sqlite3.SQLITE_READ
-                and (database == "main" or database is None and table.casefold() not in ctes)
-            ]
-            if keywords & {"USING", "NATURAL"}:
-                # The columns such a join matches on reach no authorizer, so a
-                # table joined only by them shows only as a B-tree opened.
+            reads = [(t, db) for action, t, _, db, _ in calls if action == sqlite3.SQLITE_READ]
+            dropped = [t for t, db in reads if db is None and t.casefold() in ctes]
+            names = [t for t, db in reads if db == "main" or db is None and t not in dropped]
+            if any(schema.table(t) for t in dropped) or keywords & {"USING", "NATURAL"}:
+                # A dropped read may be of a schema table that a CTE shadows in
+                # another scope, and the columns a USING or NATURAL join matches
+                # on reach no authorizer. Such tables show only as B-trees opened.
                 pages = ", ".join(str(row[3]) for row in result if row[1] == "OpenRead")
                 opened = f"SELECT name FROM sqlite_master WHERE rootpage IN ({pages})"
                 names.extend(name for (name,) in connection.execute(opened))
@@ -197,27 +195,19 @@ def render_schema(schema: Schema) -> str:
     return schema.rendered
 
 
-def render_join_path(result: "LinkResult") -> str:
+def render_join_path(result: "LinkResult", graph: "SchemaGraph") -> str:
     """Describe the chosen tables and how they join, for a generation prompt.
 
-    A concrete path renders as "A -> B (A.x = B.y)"; a union selection
-    renders the sorted table list followed by one line per induced join
-    condition; a lone table is marked as needing no joins.
+    A concrete path renders as "A -> B (A.x = B.y)", with its steps' graph
+    conditions; a union selection renders the sorted table list and one line
+    per induced join condition; a lone table is marked as needing no joins.
     """
-    all_edges = tuple(result.induced_fk_edges) + tuple(result.augmented_join_edges)
     path = result.chosen_path()
     if path is not None:
         if path.length == 0:
             return f"{path.tables[0]} (no joins required)"
         arrow = " -> ".join(path.tables)
-        by_pair: dict[frozenset[str], list[str]] = {}
-        for fk in all_edges:
-            pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
-            by_pair.setdefault(pair, []).append(join_condition(fk))
-        conditions: list[str] = []
-        for a, b in zip(path.tables, path.tables[1:]):
-            conditions.extend(by_pair.get(frozenset((a.casefold(), b.casefold())), ()))
-        conditions = list(dict.fromkeys(conditions))
+        conditions = dict.fromkeys(graph.join_conditions(path.tables))
         if conditions:
             return f"{arrow} ({', '.join(conditions)})"
         return arrow
@@ -226,6 +216,7 @@ def render_join_path(result: "LinkResult") -> str:
     if len(tables) == 1:
         return f"{tables[0]} (no joins required)"
     lines = [", ".join(tables)]
+    all_edges = (*result.induced_fk_edges, *result.augmented_join_edges)
     conditions = list(dict.fromkeys(join_condition(fk) for fk in all_edges))
     if conditions:
         lines.append("joins:")

@@ -286,6 +286,13 @@ EXTRACTION_FIXTURES = [
         {"orders"},
         (),
     ),
+    (
+        "table_count_beside_a_cte_of_its_name_in_another_scope",
+        "SELECT (SELECT COUNT(*) FROM orders) FROM customers "
+        "WHERE EXISTS (WITH orders AS (SELECT 1 AS n) SELECT n FROM orders)",
+        {"customers", "orders"},
+        (),
+    ),
 ]
 
 # Statements with no FROM clause at all; extraction must raise, not guess.

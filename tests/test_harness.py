@@ -27,7 +27,7 @@ from schema_linker import (
     run_sweep,
     write_schema_document,
 )
-from schema_linker.errors import EmptyInputError, NoSchemasFoundError, ParseError
+from schema_linker.errors import BackendError, EmptyInputError, NoSchemasFoundError, ParseError
 from schema_linker.harness import CSV_COLUMNS, GRID_COLUMNS, Question, extract_sql_reply
 from schema_linker.llm import (
     API_URL_ENV,
@@ -1233,6 +1233,19 @@ class TestRunEvaluation:
             }
         ]
 
+    def test_gold_sql_reading_no_table_is_an_extraction_failure(
+        self, golden_pipeline, questions, repo, tmp_path
+    ):
+        tweaked = [
+            replace(q, gold_sql="SELECT 1 FROM (SELECT 2)") if q.question_id == "7" else q
+            for q in questions
+        ]
+        report = run_evaluation(golden_pipeline.link_path, tweaked, repo, report_dir=tmp_path)
+        assert report.summary["rows_evaluated"] == 9
+        assert report.summary["extraction_failures"]["rows"] == [
+            {"question_id": "7", "reason": "gold SQL reads no schema table"}
+        ]
+
     def test_failing_gold_execution_is_reported(
         self, golden_pipeline, questions, repo, tmp_path
     ):
@@ -1505,6 +1518,30 @@ class TestSweepSharing:
         rows = read_rows(recorded.dir / "link_mode4.jsonl")
         assert [row["degraded"] for row in rows].count(True) == 1
 
+    def test_failed_endpoint_request_is_sent_once(self, questions, repo, tmp_path):
+        class DownForQuestion1(ScriptedBackend):
+            failed = 0
+
+            def complete(self, request):
+                if request.system_text == SYSTEM_PROMPTS[PromptId.SRC_DST] and (
+                    self._question_from(request.user_text) == CORPUS[0]["question"]
+                ):
+                    self.failed += 1
+                    raise BackendError("endpoint unavailable")
+                return super().complete(request)
+
+        backend = DownForQuestion1()
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(cache_path=cache_path, cache_mode="record", workers=1)
+        result = run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        assert backend.failed == 1
+        for mode in ALL_MODES:
+            assert result["outcomes"][mode].failed == 1
+            rows = read_rows(tmp_path / "sweep" / f"link_{mode}.jsonl")
+            errors = {row["question_id"]: row["error"] for row in rows if row["error"]}
+            assert errors == {"1": {"code": "BACKEND_ERROR", "message": "endpoint unavailable"}}
+
     def test_resumed_sweep_asks_once_per_question(self, recorded, questions, repo, tmp_path):
         out_dir = tmp_path / "sweep"
         out_dir.mkdir()
@@ -1532,7 +1569,7 @@ class TestSweepSharing:
         self, recorded, questions, repo, tmp_path, monkeypatch
     ):
         searched, extracted = Counter(), Counter()
-        real_search = pathfinder.all_shortest_paths
+        real_search = pathfinder._shortest_path_dag
         real_extract = harness.extract_tables
 
         def search(graph, src, dst):
@@ -1543,7 +1580,7 @@ class TestSweepSharing:
             extracted[sql] += 1
             return real_extract(sql, schema)
 
-        monkeypatch.setattr(pathfinder, "all_shortest_paths", search)
+        monkeypatch.setattr(pathfinder, "_shortest_path_dag", search)
         monkeypatch.setattr(harness, "extract_tables", extract)
         # The session repository already holds paths and gold sets from
         # earlier tests; a fresh one starts with none.

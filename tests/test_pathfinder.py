@@ -1,10 +1,11 @@
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from schema_linker import all_shortest_paths, build_candidates, preset
+from schema_linker import all_shortest_paths, build_candidates, pathfinder, preset
 from schema_linker.errors import (
     EmptyEndpointsError,
     OutOfRangeError,
@@ -239,6 +240,30 @@ class TestBuildCandidates:
     def test_unknown_endpoint_raises(self, retail_graph):
         with pytest.raises(UnknownTableError):
             build_candidates(retail_graph, ["customers"], ["ghost"], MODE4)
+
+    def test_each_uncached_pair_is_searched_once(self, monkeypatch):
+        searched = Counter()
+        real_search = pathfinder._shortest_path_dag
+
+        def search(graph, src, dst):
+            searched[frozenset((src, dst))] += 1
+            return real_search(graph, src, dst)
+
+        monkeypatch.setattr(pathfinder, "_shortest_path_dag", search)
+        graph = graph_of(("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("e", "f"))
+        candidates = build_candidates(graph, ["a", "c", "e"], ["c", "a"], MODE4)
+        # (c, a) is (a, c) reversed; e joins neither end.
+        pairs = [("a", "c"), ("a",), ("c",), ("c", "e"), ("a", "e")]
+        assert searched == Counter({frozenset(pair): 1 for pair in pairs})
+        assert [p.tables for p in candidates.paths] == [
+            ("a",),
+            ("a", "b", "c"),
+            ("a", "d", "c"),
+            ("c",),
+            ("e",),
+        ]
+        build_candidates(graph, ["c"], ["a"], MODE4)
+        assert sum(searched.values()) == len(pairs)
 
     def test_union_matches_brute_force_on_random_graphs(self):
         rng = random.Random(99)

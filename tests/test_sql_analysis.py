@@ -11,7 +11,9 @@ from schema_linker.schema_model import (
     ColumnDef,
     FkProvenance,
     ForeignKeyEdge,
+    GraphEdge,
     Schema,
+    SchemaGraph,
     TableDef,
     augment_sparse_graph,
     build_graph,
@@ -298,7 +300,7 @@ class TestJoinPathRendering:
         )(MODE_PRESETS["mode4"])
         assert result.selection_rule == "sole_candidate"
         assert (
-            render_join_path(result)
+            render_join_path(result, retail_graph)
             == "customers -> orders (orders.customer_id = customers.customer_id)"
         )
 
@@ -310,7 +312,7 @@ class TestJoinPathRendering:
             scripted(("orders",), ("customers",)),
         )(MODE_PRESETS["mode7"])
         assert (
-            render_join_path(result)
+            render_join_path(result, retail_graph)
             == "customers, orders\njoins:\norders.customer_id = customers.customer_id"
         )
 
@@ -321,7 +323,7 @@ class TestJoinPathRendering:
             retail_graph,
             scripted(("customers",), ("customers",)),
         )(MODE_PRESETS["mode7"])
-        assert render_join_path(result) == "customers (no joins required)"
+        assert render_join_path(result, retail_graph) == "customers (no joins required)"
 
     def test_zero_length_path_needs_no_joins(self, retail_schema, retail_graph):
         result = link(
@@ -331,7 +333,7 @@ class TestJoinPathRendering:
             scripted(("customers",), ("customers",)),
         )(MODE_PRESETS["mode4"])
         assert result.chosen_path_id == 1
-        assert render_join_path(result) == "customers (no joins required)"
+        assert render_join_path(result, retail_graph) == "customers (no joins required)"
 
     def test_multi_hop_path_conditions_in_order(self, retail_schema, retail_graph):
         result = link(
@@ -341,7 +343,7 @@ class TestJoinPathRendering:
             scripted(("customers",), ("products",)),
             path_oracle=lambda question, lines: 1,
         )(MODE_PRESETS["mode4"])
-        assert render_join_path(result) == (
+        assert render_join_path(result, retail_graph) == (
             "customers -> orders -> order_items -> products "
             "(orders.customer_id = customers.customer_id, "
             "order_items.order_id = orders.order_id, "
@@ -415,7 +417,18 @@ class TestJoinPathMatchesReference:
                 induced_fk_edges=tuple(keys[:split]),
                 augmented_join_edges=tuple(keys[split:]),
             )
-            rendered = render_join_path(result)
+            # The graph groups the same keys by pair, induced then augmented.
+            grouped: dict[frozenset[str], list[ForeignKeyEdge]] = {}
+            for fk in keys:
+                pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
+                if len(pair) == 2:
+                    grouped.setdefault(pair, []).append(fk)
+            canonical = {name.casefold(): name for name in tables}
+            edges = [
+                GraphEdge(tuple(canonical[key] for key in sorted(pair)), tuple(fks))
+                for pair, fks in grouped.items()
+            ]
+            rendered = render_join_path(result, SchemaGraph(tuple(tables), tuple(edges)))
             assert rendered == reference_join_path(result), result
             joined_paths += concrete and rendered.endswith(")") and "no joins" not in rendered
             joined_unions += not concrete and "joins:" in rendered
