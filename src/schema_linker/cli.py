@@ -85,7 +85,7 @@ def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temper
     """Pick the relevant tables for every question in a dataset."""
     config = RunConfig(
         mode=mode,
-        linker_model=model,
+        model=model,
         link_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",
@@ -133,7 +133,7 @@ def generate(
     if baseline and schema_root is None:
         _fatal("--baseline needs --schemas to render the full schema")
     config = RunConfig(
-        generator_model=model,
+        model=model,
         generate_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",
@@ -218,7 +218,7 @@ def sweep(dataset, schema_root, modes, out_dir, cache_path, replay, model, tempe
     else:
         mode_names = [_mode_choice(part) for part in modes.split(",") if part.strip()]
     config = RunConfig(
-        linker_model=model,
+        model=model,
         link_temperature=temperature,
         cache_path=cache_path,
         cache_mode="replay" if replay else "record",

@@ -17,12 +17,14 @@ import json
 import logging
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .errors import EmptyInputError, GoldExecutionError, NoSchemasFoundError, ParseError
-from .jsonl import append_rows, read_jsonl
+from .jsonl import JsonlAppender, read_jsonl
 from .llm import (
     DEFAULT_MODEL,
     DEFAULT_TEMPERATURES,
@@ -80,8 +82,7 @@ class Question:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "mode7"
-    linker_model: str = DEFAULT_MODEL
-    generator_model: str | None = None
+    model: str = DEFAULT_MODEL
     link_temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST]
     generate_temperature: float = DEFAULT_TEMPERATURES[PromptId.SQL_GEN_LINKED]
     cache_path: Path | None = None
@@ -286,33 +287,38 @@ def _run_rows(
     error_field: str,
     client: CachingClient,
     config: RunConfig,
-) -> list[RunOutcome]:
+) -> tuple[list[RunOutcome], list[dict[str, dict]]]:
     """Append each item's rows, keyed by question_id, to the out_paths it is pending in.
 
     An item is done in a file when its latest row there has ``error_field``
     None. ``work(item, pending)`` returns, failures included, a row for each
-    index into out_paths in ``pending``. Replay runs on the calling thread,
-    since it is pure computation under the interpreter lock; record mode
-    runs ``config.workers`` threads. The client's cache file is closed on return.
+    index into out_paths in ``pending``; rows are written in item order and
+    flushed as written. Replay runs on the calling thread, since it is pure
+    computation under the interpreter lock; record mode runs
+    ``config.workers`` threads. The client's cache file is closed on return.
+    Returns each file's outcome and its latest rows, read and written, as
+    ``_latest_rows`` would read them back.
     """
-    done = [
-        {key for key, row in _latest_rows(path).items() if row.get(error_field) is None}
-        for path in out_paths
-    ]
+    latest = [_latest_rows(path) for path in out_paths]
+    done = [{key for key, row in rows.items() if row.get(error_field) is None} for rows in latest]
     todo = [(item, [i for i, d in enumerate(done) if key not in d]) for key, item in items.items()]
     todo = [(item, pending) for item, pending in todo if pending]
     workers = 1 if client.mode is CacheMode.REPLAY else config.workers
-    try:
-        failed = append_rows(
-            out_paths, todo, lambda job: zip(job[1], work(*job)), error_field, workers
-        )
-    finally:
-        client.cache.close()
-    attempted = [sum(i in pending for _, pending in todo) for i in range(len(out_paths))]
-    return [
-        RunOutcome(path, tried - fails, len(items) - tried, fails)
-        for path, tried, fails in zip(out_paths, attempted, failed)
-    ]
+    written: list[list[dict]] = [[] for _ in out_paths]
+    with ExitStack() as stack:  # unwinds the pool, then the sinks, then the cache
+        stack.callback(client.cache.close)
+        sinks = [stack.enter_context(JsonlAppender(path)) for path in out_paths]
+        pool = stack.enter_context(ThreadPoolExecutor(workers)) if workers > 1 else None
+        for pairs in (pool.map if pool else map)(lambda job: zip(job[1], work(*job)), todo):
+            for i, row in pairs:
+                sinks[i].write(row)
+                written[i].append(row)
+    outcomes = []
+    for path, rows, new in zip(out_paths, latest, written):
+        failed = sum(row.get(error_field) is not None for row in new)
+        outcomes.append(RunOutcome(path, len(new) - failed, len(items) - len(new), failed))
+        rows.update((row["question_id"], row) for row in new)
+    return outcomes, latest
 
 
 def run_linking(
@@ -331,7 +337,7 @@ def run_linking(
     """
     client = client if client is not None else config.build_client()
     mode_name = canonical_mode_name(config.mode)
-    return _link_questions(questions, [mode_name], config, repo, [Path(out_path)], client)[0]
+    return _link_questions(questions, [mode_name], config, repo, [Path(out_path)], client)[0][0]
 
 
 def _link_questions(
@@ -341,16 +347,16 @@ def _link_questions(
     repo: SchemaRepository,
     out_paths: Sequence[Path],
     client: CachingClient,
-) -> list[RunOutcome]:
+) -> tuple[list[RunOutcome], list[dict[str, dict]]]:
     """Link each question once, writing its mode_names[i] row to out_paths[i].
 
     One ``link`` call serves every pending mode of a question, and a result
     that modes share is rendered once. Each mode runs in its own try, and
     its row carries the usage popped after it, so the first pending mode's
-    row holds the endpoint request.
+    row holds the endpoint request. Returns what ``_run_rows`` returns.
     """
-    endpoints = LlmEndpointOracle(client, config.linker_model, config.link_temperature)
-    path_oracle = LlmPathOracle(client, config.linker_model, config.link_temperature)
+    endpoints = LlmEndpointOracle(client, config.model, config.link_temperature)
+    path_oracle = LlmPathOracle(client, config.model, config.link_temperature)
     modes = [preset(name) for name in mode_names]
 
     def work(question: Question, pending: list[int]) -> list[dict]:
@@ -462,7 +468,6 @@ def run_generation(
     if out_path is None:
         out_path = link_output.with_name(link_output.stem + "_generated.jsonl")
     client = client if client is not None else config.build_client()
-    generator_model = config.generator_model or config.linker_model
 
     def work(row: dict, pending: list[int]) -> list[dict]:
         client.pop_usage()  # drop what anything before this row left behind
@@ -479,7 +484,7 @@ def run_generation(
                     join_path_text=None if config.baseline else row["join_path"],
                     evidence=row.get("evidence"),
                     baseline=config.baseline,
-                    model_name=generator_model,
+                    model_name=config.model,
                     temperature=config.generate_temperature,
                 )
                 sql = extract_sql_reply(client.complete(request))
@@ -491,7 +496,7 @@ def run_generation(
         out = {**row, "predicted_sql": sql, "generation_error": failure}
         return [_with_usage(out, client, "generation_token_usage")]
 
-    return _run_rows(rows, [Path(out_path)], work, "generation_error", client, config)[0]
+    return _run_rows(rows, [Path(out_path)], work, "generation_error", client, config)[0][0]
 
 
 @dataclass(frozen=True)
@@ -529,7 +534,7 @@ CSV_COLUMNS = [
 
 
 def run_evaluation(
-    run_output: str | Path,
+    run_output: str | Path | dict[str, dict],
     questions: Sequence[Question],
     repo: SchemaRepository,
     *,
@@ -538,6 +543,7 @@ def run_evaluation(
 ) -> EvaluationReport:
     """Score a run against gold SQL and write summary.json + per_question.csv.
 
+    ``run_output`` is a run output file or its latest rows by question_id.
     Gold table sets come from extracting table references out of each gold
     query. Questions whose gold SQL cannot be parsed or names a table the
     schema lacks are excluded from the schema aggregates and reported
@@ -548,7 +554,7 @@ def run_evaluation(
     """
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    rows = _latest_rows(Path(run_output))
+    rows = run_output if isinstance(run_output, dict) else _latest_rows(Path(run_output))
 
     extraction_failures: list[dict] = []
     missing_rows: list[str] = []
@@ -668,8 +674,9 @@ def run_sweep(
     pending makes its source/destination request, and modes keeping the
     same endpoints share its candidate set. Each mode's link file fails,
     resumes and carries token usage on its own, so a mode whose file is
-    complete asks nothing. Shortest paths and gold table sets are kept by
-    ``repo``. The result holds each mode's linking RunOutcome under "outcomes".
+    complete asks nothing. Each mode is scored from the rows in hand, not
+    from its link file read back. Shortest paths and gold table sets are kept
+    by ``repo``. The result holds each mode's linking RunOutcome under "outcomes".
     """
     names = MODE_PRESETS if modes is None else modes
     mode_names = list(dict.fromkeys(canonical_mode_name(m) for m in names))
@@ -679,11 +686,11 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     client = client if client is not None else base_config.build_client()
     link_paths = [out_dir / f"link_{mode_name}.jsonl" for mode_name in mode_names]
-    linked = _link_questions(questions, mode_names, base_config, repo, link_paths, client)
+    outcomes, latest = _link_questions(questions, mode_names, base_config, repo, link_paths, client)
 
     grid_rows = []
-    for mode_name, link_path in zip(mode_names, link_paths):
-        report = run_evaluation(link_path, questions, repo, report_dir=out_dir / mode_name)
+    for mode_name, rows in zip(mode_names, latest):
+        report = run_evaluation(rows, questions, repo, report_dir=out_dir / mode_name)
         overall = report.summary["overall"]
         scores = {column: overall[column] for column in GRID_COLUMNS[2:]}
         grid_rows.append({"mode": mode_name, "label": MODE_LABELS[mode_name], **scores})
@@ -703,5 +710,5 @@ def run_sweep(
         "grid_csv": grid_csv,
         "grid_json": grid_json,
         "rows": grid_rows,
-        "outcomes": dict(zip(mode_names, linked)),
+        "outcomes": dict(zip(mode_names, outcomes)),
     }

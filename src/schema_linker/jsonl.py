@@ -4,7 +4,7 @@ A run killed while writing can leave its last line half written, with no
 trailing newline. Readers skip such a line with a warning, and writers cut
 the file back to its last complete line before they append. An unreadable
 line anywhere else is corruption and still fails the read.
-``JsonlAppender`` is the one writer of a line: ``append_rows`` writes run
+``JsonlAppender`` is the one writer of a line: the harness writes run
 outputs through it, and the transcript cache its records.
 """
 
@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .errors import LinkerError
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 
 def read_jsonl(
@@ -98,27 +94,3 @@ class JsonlAppender:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def append_rows(
-    paths: Sequence[Path],
-    items: Sequence[T],
-    rows: Callable[[T], Iterable[tuple[int, dict]]],
-    error_field: str,
-    workers: int = 1,
-) -> list[int]:
-    """Append each item's rows to paths, in item order; return each path's failures.
-
-    ``rows(item)`` gives (index into paths, row) pairs; a failure is a row
-    whose ``error_field`` is set. One worker runs every item on the calling
-    thread, more run them on that many threads. Rows are flushed as written.
-    """
-    failed = [0] * len(paths)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with ExitStack() as stack, pool:
-        sinks = [stack.enter_context(JsonlAppender(path)) for path in paths]
-        for pairs in pool.map(rows, items) if workers > 1 else map(rows, items):
-            for i, row in pairs:
-                failed[i] += row.get(error_field) is not None
-                sinks[i].write(row)
-    return failed

@@ -507,7 +507,7 @@ class TestRunGeneration:
                 join_path_text=None,
                 evidence=row.get("evidence"),
                 baseline=True,
-                model_name=config.linker_model,
+                model_name=config.model,
                 temperature=config.generate_temperature,
             )
             for row in old_rows
@@ -584,7 +584,7 @@ class TestRowRunner:
         def no_pool(*args, **kwargs):
             raise AssertionError("replay built a thread pool")
 
-        monkeypatch.setattr(schema_linker.jsonl, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(schema_linker.harness, "ThreadPoolExecutor", no_pool)
         config = RunConfig(mode="mode7", cache_path=golden_pipeline.cache_path, workers=4)
         client = replay_client(golden_pipeline.cache_path)
         threads = threading.active_count()
@@ -1276,6 +1276,61 @@ class TestRunEvaluation:
             )
 
 
+class TestRowsInHand:
+    """A run's latest rows, as the runner returns them, score as its file does."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """Each file's latest rows that every ``_run_rows`` call returned, in call order."""
+        kept = []
+        real_run_rows = harness._run_rows
+
+        def run_rows(*args):
+            outcomes, latest = real_run_rows(*args)
+            kept.extend(latest)
+            return outcomes, latest
+
+        monkeypatch.setattr(harness, "_run_rows", run_rows)
+        return kept
+
+    @pytest.mark.parametrize("check_execution", [False, True])
+    def test_reports_match_the_file_read_back(
+        self, golden_pipeline, questions, repo, tmp_path, kept, check_execution
+    ):
+        # Question 11 has no transcript, so its link row fails and its
+        # generated row is not prompted. Question 1's earlier failed row is
+        # retried, so the link file holds two rows for it.
+        asked = list(questions) + [
+            Question("11", DB_ID, "Which supplier is the oldest?", gold_sql=CORPUS[3]["SQL"])
+        ]
+        link_path, gen_path = tmp_path / "link.jsonl", tmp_path / "gen.jsonl"
+        earlier = {"question_id": "1", "db_id": DB_ID, "error": {"code": "BACKEND_ERROR"}}
+        link_path.write_text(json.dumps(earlier) + "\n", encoding="utf-8")
+        config = RunConfig(mode="mode7", cache_path=golden_pipeline.cache_path)
+        client = replay_client(golden_pipeline.cache_path)
+        linked = run_linking(asked, config, repo, link_path, client=client)
+        generated = run_generation(link_path, config, client=client, out_path=gen_path)
+        assert (linked.completed, linked.failed, generated.failed) == (10, 1, 1)
+        assert [row["question_id"] for row in read_rows(link_path)].count("1") == 2
+
+        assert len(kept) == 2
+        for path, rows in zip((link_path, gen_path), kept):
+            assert list(rows.items()) == list(harness._latest_rows(path).items())
+            from_file = run_evaluation(
+                path, asked, repo, check_execution=check_execution, report_dir=tmp_path / "file"
+            )
+            in_hand = run_evaluation(
+                rows, asked, repo, check_execution=check_execution, report_dir=tmp_path / "hand"
+            )
+            assert in_hand.summary == from_file.summary
+            for report in ("summary_path", "per_question_path"):
+                produced = getattr(in_hand, report).read_bytes()
+                assert produced == getattr(from_file, report).read_bytes(), (path.name, report)
+        if check_execution:
+            assert in_hand.summary["overall"]["execution_count"] == 11
+            assert in_hand.summary["overall"]["execution_accuracy"] == pytest.approx(10 / 11)
+
+
 class TestEvaluationAcrossDatabases:
     """Execution checks run grouped by database; reports keep question order."""
 
@@ -1554,6 +1609,57 @@ class TestSweepSharing:
         assert len(by_prompt(client.sent, PromptId.SRC_DST)) == 11
         skipped = {mode: o.skipped for mode, o in result["outcomes"].items()}
         assert skipped == {mode: 10 if mode in ALL_MODES[:3] else 0 for mode in ALL_MODES}
+
+    def test_resumed_sweep_counts_only_the_rows_it_writes(
+        self, recorded, questions, repo, tmp_path
+    ):
+        # Question 11 has no transcript, so replay fails its row in every mode.
+        asked = list(questions) + [
+            Question("11", DB_ID, "Which supplier is the oldest?", gold_sql=CORPUS[3]["SQL"])
+        ]
+        out_dir = tmp_path / "sweep"
+        out_dir.mkdir()
+
+        def earlier(mode: str) -> list[str]:
+            return (recorded.dir / f"link_{mode}.jsonl").read_text(encoding="utf-8").splitlines(True)
+
+        stale = json.dumps({"question_id": "99", "mode": "mode2", "error": None}) + "\n"
+        failed_4 = json.dumps({"question_id": "4", "mode": "mode3", "error": {"code": "X"}}) + "\n"
+        (out_dir / "link_mode1.jsonl").write_text("".join(earlier("mode1")), encoding="utf-8")
+        (out_dir / "link_mode2.jsonl").write_text(
+            "".join(earlier("mode2")[:5]) + stale, encoding="utf-8"
+        )
+        (out_dir / "link_mode3.jsonl").write_text(
+            "".join(earlier("mode3")) + failed_4, encoding="utf-8"
+        )
+        config = RunConfig(cache_path=recorded.cache_path)
+        result = run_sweep(asked, config, repo, out_dir, client=replay_client(recorded.cache_path))
+        counts = {
+            mode: (o.completed, o.skipped, o.failed) for mode, o in result["outcomes"].items()
+        }
+        assert counts == {
+            "mode1": (0, 10, 1),
+            "mode2": (5, 5, 1),
+            "mode3": (1, 9, 1),
+            **{mode: (10, 0, 1) for mode in ALL_MODES[3:]},
+        }
+        assert [row["count"] for row in result["rows"]] == [11] * len(ALL_MODES)
+
+    def test_sweep_reads_each_link_file_once(
+        self, recorded, questions, repo, tmp_path, monkeypatch
+    ):
+        reads = Counter()
+        real_read = harness.read_jsonl
+        monkeypatch.setattr(
+            harness, "read_jsonl", lambda path, *args: reads.update([path]) or real_read(path, *args)
+        )
+        config = RunConfig(cache_path=recorded.cache_path)
+        out_dir = tmp_path / "sweep"
+        run_sweep(questions, config, repo, out_dir, client=replay_client(recorded.cache_path))
+        assert reads == Counter({out_dir / f"link_{mode}.jsonl": 1 for mode in ALL_MODES})
+        for path in recorded.dir.rglob("*.*"):
+            name = path.relative_to(recorded.dir)
+            assert (out_dir / name).read_bytes() == path.read_bytes(), name
 
     def test_complete_sweep_asks_nothing(self, recorded, questions, repo, tmp_path):
         out_dir = tmp_path / "sweep"
