@@ -1,9 +1,10 @@
 """Append-only JSON-lines files that survive a torn final line.
 
 A run killed while writing can leave its last line half written, with no
-trailing newline. Readers skip such a line with a warning, and writers cut
-the file back to its last complete line before they append. An unreadable
-line anywhere else is corruption and still fails the read.
+trailing newline. Readers hold one line at a time and skip such a line with
+a warning. Writers read back from the end only to the last newline, and cut
+the file back to it before they append. An unreadable line anywhere else is
+corruption and still fails the read.
 ``JsonlAppender`` is the one writer of a line: the harness writes run
 outputs through it, and the transcript cache its records.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .errors import LinkerError
 
@@ -25,35 +26,51 @@ def read_jsonl(
 ) -> Iterator[dict]:
     """Yield the record on each line of path; a bad line raises ``error``.
 
-    Records are yielded one at a time, so a caller that keeps only part of
-    each never holds every parsed line at once. A missing file reads as
-    empty. An unparseable last line without a trailing newline is a torn
-    write and is skipped with a warning. Any other line must hold a JSON
-    object with every key in ``keys``. ``what`` names a line in errors.
+    The file is read one line at a time, so a caller that keeps only part
+    of each record never holds the whole file. Lines break at newlines and
+    carriage returns only, never at a Unicode line separator that a JSON
+    string may hold raw. A missing file reads as empty. An unparseable last
+    line without a trailing newline is a torn write and is skipped with a
+    warning. Any other line must hold a JSON object with every key in
+    ``keys``. ``what`` names a line in errors.
     """
-    if not path.exists():
+    try:
+        lines = path.open(encoding="utf-8")
+    except FileNotFoundError:
         return
-    text = path.read_text(encoding="utf-8")
-    ends_complete = text.endswith("\n")
-    lines = text.splitlines()
-    del text  # a transcript cache runs to megabytes; do not hold it twice
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if line_no == len(lines) and not ends_complete:
-                log.warning("%s:%d: skipping torn final line: %s", path, line_no, exc.msg)
-                break
-            raise error(f"{path}:{line_no}: unreadable {what}: {exc.msg}") from exc
-        if not isinstance(record, dict):
-            raise error(f"{path}:{line_no}: {what} is not a JSON object")
-        missing = [key for key in keys if key not in record]
-        if missing:
-            raise error(f"{path}:{line_no}: {what} lacks {', '.join(map(repr, missing))}")
-        yield record
+    with lines:  # also closed when a caller drops the generator early
+        for line_no, line in enumerate(lines, start=1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):  # only the last line can lack one
+                    log.warning("%s:%d: skipping torn final line: %s", path, line_no, exc.msg)
+                    return
+                raise error(f"{path}:{line_no}: unreadable {what}: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise error(f"{path}:{line_no}: {what} is not a JSON object")
+            missing = [key for key in keys if key not in record]
+            if missing:
+                raise error(f"{path}:{line_no}: {what} lacks {', '.join(map(repr, missing))}")
+            yield record
+
+
+TAIL_BLOCK = 1 << 16  # bytes read at a time while looking back for the last newline
+
+
+def _last_line_start(sink: BinaryIO, end: int) -> int:
+    """The offset just after the last newline before ``end``, or 0 if there is none."""
+    block_end = end
+    while block_end:
+        block_start = max(block_end - TAIL_BLOCK, 0)
+        sink.seek(block_start)
+        newline = sink.read(block_end - block_start).rfind(b"\n")
+        if newline >= 0:
+            return block_start + newline + 1
+        block_end = block_start
+    return 0
 
 
 class JsonlAppender:
@@ -70,11 +87,10 @@ class JsonlAppender:
         end = sink.seek(0, 2)
         sink.seek(max(end - 1, 0))
         if end and sink.read(1) != b"\n":
-            sink.seek(0)
-            data = sink.read()
-            start = data.rfind(b"\n") + 1
+            start = _last_line_start(sink, end)
+            sink.seek(start)
             try:
-                json.loads(data[start:])
+                json.loads(sink.read())
             except ValueError:
                 log.warning("%s: cutting torn final line (%d bytes)", path, end - start)
                 sink.truncate(start)

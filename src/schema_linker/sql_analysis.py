@@ -53,8 +53,9 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
     SQLite compiles ``EXPLAIN <sql>`` in ``schema.compile_database`` and
     reports each table the statement reads to an authorizer. A missing
     table gets a stub and is reported as unresolved; a missing column is
-    added to the first table, newest first, that lets compilation go on.
-    Both are rolled back. Raises ParseError when the text has no FROM
+    added to the first table, newest first, that lets compilation go on,
+    and kept on every stub tried before it, whose columns are unknown. All
+    of these are rolled back. Raises ParseError when the text has no FROM
     clause, or with SQLite's message when it does not compile otherwise.
     """
     keywords = {match.group(1).upper() for match in _KEYWORD_RE.finditer(sql) if match.group(1)}
@@ -82,7 +83,10 @@ def extract_tables(sql: str, schema: Schema) -> TableReferenceSet:
                 continue
             if result != message:
                 return result
-            connection.execute("ROLLBACK TO probe")
+            if table in stubs.values():  # a USING join of two stubs needs the column in both
+                connection.execute("SAVEPOINT probe")
+            else:
+                connection.execute("ROLLBACK TO probe")
         raise ParseError(message)
 
     connection, lock = schema.compile_database

@@ -983,6 +983,23 @@ class TestTornLastLine:
         with pytest.raises(ParseError, match=":3: unreadable run output"):
             read_rows(path)
 
+    def test_line_separator_inside_a_row_is_read(
+        self, mode_runs, questions, repo, tmp_path
+    ):
+        run = mode_runs("mode7")
+        rows = read_rows(run.link_path)
+        rows[2]["question"] += "\u2028second line\u2029third\x85"
+        path = tmp_path / "link.jsonl"
+        path.write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+        )
+        assert read_rows(path) == rows
+        config = RunConfig(mode="mode7", cache_path=run.cache_path, workers=1)
+        outcome = run_linking(questions, config, repo, path, client=replay_client(run.cache_path))
+        assert (outcome.completed, outcome.skipped, outcome.failed) == (0, 10, 0)
+        report = run_evaluation(path, questions, repo, report_dir=tmp_path / "r")
+        assert report.summary["rows_evaluated"] == 10
+
     def test_linking_resumes_after_a_torn_row(
         self, mode_runs, questions, repo, tmp_path, caplog
     ):

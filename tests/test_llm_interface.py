@@ -382,6 +382,19 @@ class TestTranscriptCache:
         with pytest.raises(CacheMissError, match=":1: unreadable cache line"):
             TranscriptCache(path)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_line_separator_inside_a_reply_is_read(self, tmp_path, separator):
+        # JSON allows these raw inside strings, as json.dumps(ensure_ascii=False) writes them.
+        path = tmp_path / "cache.jsonl"
+        reply = f"SELECT 1{separator}FROM t"
+        path.write_text(
+            json.dumps({"digest": "x", "reply": reply}, ensure_ascii=False)
+            + '\n{"digest": "y", "reply": "z"}\n',
+            encoding="utf-8",
+        )
+        cache = TranscriptCache(path)
+        assert (len(cache), cache.get("x"), cache.get("y")) == (2, reply, "z")
+
     def test_torn_last_line_is_skipped_then_cut_before_the_next_put(
         self, tmp_path, caplog
     ):
