@@ -90,7 +90,7 @@ def main() -> None:
         candidates = build_candidates(graph, sources, destinations, preset("mode4"))
         print()
         print("what the path selector is shown (mode4, union appended):")
-        for line in render_candidate_lines(candidates, include_union=True, graph=graph):
+        for line in render_candidate_lines(candidates, include_union=True):
             print(f"  {line}")
 
         print()

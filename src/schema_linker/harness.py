@@ -396,7 +396,7 @@ def _link_questions(
                         "filtered_schema": render_filtered_schema(
                             schema, result.chosen_tables, result.induced_fk_edges
                         ),
-                        "join_path": render_join_path(result, graph),
+                        "join_path": render_join_path(result),
                     }
                 row.update(fields)
             except Exception as exc:  # recorded inline; the other modes and the run continue

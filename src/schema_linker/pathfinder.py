@@ -12,7 +12,7 @@ transcript, or a scripted test oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import product
@@ -90,21 +90,25 @@ class JoinPath:
     """A simple path through the table graph; a single table is allowed."""
 
     tables: tuple[str, ...]
+    # Each step's join conditions, in path order; identity is the tables alone.
+    conditions: tuple[str, ...] = field(default=(), compare=False)
+    key: tuple[str, ...] = field(init=False, repr=False, compare=False)  # casefolded tables
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", tuple(self.tables))
         if not self.tables:
             raise ValueError("a join path needs at least one table")
-        keys = [table.casefold() for table in self.tables]
-        if len(set(keys)) != len(keys):
+        key = tuple(map(str.casefold, self.tables))
+        if len(set(key)) != len(key):
             raise ValueError("join path tables must be pairwise distinct")
+        object.__setattr__(self, "key", key)
 
     @property
     def length(self) -> int:
         return len(self.tables) - 1
 
     def sort_key(self) -> tuple[str, ...]:
-        return tuple(table.casefold() for table in self.tables)
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -210,22 +214,24 @@ def all_shortest_paths(graph: SchemaGraph, src: str, dst: str) -> list[JoinPath]
     table-name sequence.
     """
     start, goal, preds, count = _shortest_path_dag(graph, src, dst)
-    return list(_dag_paths(start, goal, preds)) if count else []
+    return list(_dag_paths(graph, start, goal, preds)) if count else []
 
 
-def _dag_paths(start: str, goal: str, preds: dict[str, list[str]]) -> tuple[JoinPath, ...]:
-    """Every path through a reachable goal's predecessor DAG, in name order."""
-    sequences: list[tuple[str, ...]] = []
+def _dag_paths(
+    graph: SchemaGraph, start: str, goal: str, preds: dict[str, list[str]]
+) -> tuple[JoinPath, ...]:
+    """Every path, with its join conditions, through a predecessor DAG, in name order."""
+    paths: list[JoinPath] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(goal, (goal,))]
     while stack:
         node, tail = stack.pop()
         if node == start:
-            sequences.append(tail)
+            paths.append(JoinPath(tail, graph.join_conditions(tail)))
             continue
         for pred in preds[node]:
             stack.append((pred, (pred,) + tail))
-    sequences.sort(key=lambda seq: tuple(t.casefold() for t in seq))
-    return tuple(JoinPath(seq) for seq in sequences)
+    paths.sort(key=JoinPath.sort_key)
+    return tuple(paths)
 
 
 def _dedupe_keep_order(names: Sequence[str]) -> list[str]:
@@ -259,8 +265,8 @@ def build_candidates(
     standalone endpoints), and a diagnostic names the count and the cap.
 
     Each pair of tables, in either order, is searched once per graph: its
-    enumerated paths are kept in ``graph.path_cache``. A pair of a capped
-    set stores nothing there.
+    enumerated paths, each holding its join conditions, are kept in
+    ``graph.path_cache``. A pair of a capped set stores nothing there.
     """
     src_list = _dedupe_keep_order(sources)
     dst_list = _dedupe_keep_order(destinations)
@@ -314,7 +320,7 @@ def build_candidates(
                 union |= _path_tables(preds, goal)
     else:
         for key, (start, goal, preds, count) in searched.items():
-            found = _dag_paths(start, goal, preds) if count else ()
+            found = _dag_paths(graph, start, goal, preds) if count else ()
             # record-mode threads may race here; the first equal value wins
             found = cache.setdefault(key, found)
             collected.update((path.tables, path) for path in found)
@@ -334,24 +340,18 @@ def build_candidates(
     )
 
 
-def render_path(path: JoinPath, graph: SchemaGraph | None = None) -> str:
+def render_path(path: JoinPath) -> str:
     """Render one candidate as "A -> B (join: A.x = B.y)"."""
     arrow = " -> ".join(path.tables)
-    conditions = graph.join_conditions(path.tables) if graph is not None else ()
-    if conditions:
-        return f"{arrow} (join: {', '.join(conditions)})"
+    if path.conditions:
+        return f"{arrow} (join: {', '.join(path.conditions)})"
     return arrow
 
 
-def render_candidate_lines(
-    candidates: CandidateSet,
-    include_union: bool,
-    graph: SchemaGraph | None = None,
-) -> list[str]:
+def render_candidate_lines(candidates: CandidateSet, include_union: bool) -> list[str]:
     """Number the candidates for presentation to the path selector."""
     lines = [
-        f"path_id={i}: {render_path(path, graph)}"
-        for i, path in enumerate(candidates.paths, start=1)
+        f"path_id={i}: {render_path(path)}" for i, path in enumerate(candidates.paths, start=1)
     ]
     if include_union:
         union = ", ".join(sorted(candidates.union_tables, key=str.casefold))
@@ -366,7 +366,6 @@ def select_path(
     candidates: CandidateSet,
     config: LinkerConfig,
     selector: PathSelector | None = None,
-    graph: SchemaGraph | None = None,
 ) -> PathSelection:
     """Pick the final table set from a candidate set.
 
@@ -385,7 +384,7 @@ def select_path(
     if config.longest:
         index = min(
             range(len(candidates.paths)),
-            key=lambda i: (-candidates.paths[i].length, candidates.paths[i].sort_key()),
+            key=lambda i: (-candidates.paths[i].length, candidates.paths[i].key),
         )
         return PathSelection(
             frozenset(candidates.paths[index].tables), index + 1, "longest"
@@ -394,7 +393,7 @@ def select_path(
         return PathSelection(frozenset(candidates.paths[0].tables), 1, "sole_candidate")
 
     include_union = config.union_mode is UnionMode.APPEND_UNION
-    lines = render_candidate_lines(candidates, include_union, graph)
+    lines = render_candidate_lines(candidates, include_union)
     if selector is None:
         return PathSelection(
             candidates.union_tables,
@@ -477,7 +476,7 @@ def link(
             candidates = candidate_sets.get(kept)
             if candidates is None:
                 candidates = candidate_sets[kept] = build_candidates(graph, *kept, config)
-            selection = select_path(candidates, config, selector, graph=graph)
+            selection = select_path(candidates, config, selector)
 
         chosen_keys = {table.casefold() for table in selection.chosen_tables}
         keys = schema.foreign_keys

@@ -247,7 +247,8 @@ class SchemaGraph:
 
     @cached_property
     def path_cache(self) -> dict[tuple[str, str], tuple]:
-        """Shortest paths by casefolded table pair, smaller first, oriented as merged."""
+        """Shortest paths by casefolded table pair, smaller first, oriented as
+        merged; each path holds its join conditions."""
         return {}
 
     @cached_property
@@ -266,13 +267,10 @@ class SchemaGraph:
     def edge_between(self, a: str, b: str) -> GraphEdge | None:
         return self._edge_map.get(_pair_key(a, b))
 
-    def join_conditions(self, tables: tuple[str, ...]) -> list[str]:
+    def join_conditions(self, tables: tuple[str, ...]) -> tuple[str, ...]:
         """Each step's justifying keys as join conditions, in path order."""
         steps = (self.edge_between(a, b) for a, b in zip(tables, tables[1:]))
-        return [join_condition(fk) for edge in steps if edge for fk in edge.justifications]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return self.edge_between(a, b) is not None
+        return tuple(join_condition(fk) for edge in steps if edge for fk in edge.justifications)
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:

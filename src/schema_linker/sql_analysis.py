@@ -16,7 +16,7 @@ from .schema_model import ForeignKeyEdge, Schema, TableDef, join_condition, quot
 
 if TYPE_CHECKING:
     from .pathfinder import LinkResult
-    from .schema_model import ColumnDef, SchemaGraph
+    from .schema_model import ColumnDef
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,19 @@ def render_schema(schema: Schema) -> str:
     return schema.rendered
 
 
-def render_join_path(result: "LinkResult", graph: "SchemaGraph") -> str:
+def render_join_path(result: "LinkResult") -> str:
     """Describe the chosen tables and how they join, for a generation prompt.
 
-    A concrete path renders as "A -> B (A.x = B.y)", with its steps' graph
-    conditions; a union selection renders the sorted table list and one line
-    per induced join condition; a lone table is marked as needing no joins.
+    A concrete path renders as "A -> B (A.x = B.y)", with the path's own join
+    conditions; a union selection renders the sorted table list and one line per
+    induced join condition; a lone table is marked as needing no joins.
     """
     path = result.chosen_path()
     if path is not None:
         if path.length == 0:
             return f"{path.tables[0]} (no joins required)"
         arrow = " -> ".join(path.tables)
-        conditions = dict.fromkeys(graph.join_conditions(path.tables))
+        conditions = dict.fromkeys(path.conditions)
         if conditions:
             return f"{arrow} ({', '.join(conditions)})"
         return arrow

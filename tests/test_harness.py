@@ -38,7 +38,7 @@ from schema_linker.llm import (
     render_sql_gen_prompt,
 )
 from schema_linker.pathfinder import UnionMode
-from schema_linker.schema_model import Schema
+from schema_linker.schema_model import Schema, SchemaGraph
 
 from conftest import ALL_MODES, read_rows, reference_digest
 from reference_render import reference_render, wide_schema
@@ -1691,9 +1691,10 @@ class TestSweepSharing:
     def test_searches_and_gold_extraction_run_once(
         self, recorded, questions, repo, tmp_path, monkeypatch
     ):
-        searched, extracted = Counter(), Counter()
+        searched, extracted, joined = Counter(), Counter(), Counter()
         real_search = pathfinder._shortest_path_dag
         real_extract = harness.extract_tables
+        real_join = SchemaGraph.join_conditions
 
         def search(graph, src, dst):
             searched[src, dst] += 1
@@ -1703,8 +1704,13 @@ class TestSweepSharing:
             extracted[sql] += 1
             return real_extract(sql, schema)
 
+        def join(graph, tables):
+            joined[id(graph), tuple(tables)] += 1
+            return real_join(graph, tables)
+
         monkeypatch.setattr(pathfinder, "_shortest_path_dag", search)
         monkeypatch.setattr(harness, "extract_tables", extract)
+        monkeypatch.setattr(SchemaGraph, "join_conditions", join)
         # The session repository already holds paths and gold sets from
         # earlier tests; a fresh one starts with none.
         fresh = SchemaRepository(repo.root)
@@ -1723,15 +1729,23 @@ class TestSweepSharing:
         assert {frozenset(pair) for pair in searched} <= scripted
         assert set(extracted.values()) == {1}
         assert len(extracted) == len(questions)
+        # Each path the search kept got its join conditions once, and no render asked again.
+        graph = fresh.graph(DB_ID)
+        kept = {(id(graph), path.tables) for paths in graph.path_cache.values() for path in paths}
+        assert kept and set(joined) == kept
+        assert set(joined.values()) == {1}
 
-        # The repository keeps both, so later runs over it search and extract nothing.
+        # The repository keeps all three, so later runs over it search, extract
+        # and join nothing.
         first_searched, first_extracted = Counter(searched), Counter(extracted)
+        first_joined = Counter(joined)
         run_sweep(questions, config, fresh, tmp_path / "again", client=client)
         link_path = tmp_path / "alone" / "link.jsonl"
         run_linking(questions, replace(config, mode="mode4"), fresh, link_path, client=client)
         run_evaluation(link_path, questions, fresh, report_dir=tmp_path / "alone" / "report")
         assert searched == first_searched
         assert extracted == first_extracted
+        assert joined == first_joined
 
     def test_many_record_workers_share_safely(self, recorded, questions, repo, tmp_path):
         cache_path = tmp_path / "cache.jsonl"

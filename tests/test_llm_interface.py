@@ -94,7 +94,7 @@ def rendered_requests(schema, questions):
     graph = build_graph(schema)
     names = list(schema.table_names)
     candidates = build_candidates(graph, names[:2], names[-2:], preset("mode4"))
-    lines = render_candidate_lines(candidates, include_union=True, graph=graph)
+    lines = render_candidate_lines(candidates, include_union=True)
     for text in questions:
         for question in (text, f"Question: {text}", f"{text}\r\nQuestion: again?\r"):
             for evidence in (None, "Question: x\r\nEvidence: y", "\r"):

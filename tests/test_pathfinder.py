@@ -460,15 +460,15 @@ class TestLinkKeyOrderMatchesReference:
 
 class TestRendering:
     def test_render_path_with_join_conditions(self, retail_graph):
-        path = JoinPath(("customers", "orders"))
+        (path,) = all_shortest_paths(retail_graph, "customers", "orders")
         assert (
-            render_path(path, retail_graph)
+            render_path(path)
             == "customers -> orders (join: orders.customer_id = customers.customer_id)"
         )
 
-    def test_render_path_without_graph_or_joins(self):
+    def test_render_path_without_joins(self):
         assert render_path(JoinPath(("a", "b"))) == "a -> b"
-        assert render_path(JoinPath(("solo",)), graph_of(("a", "b"))) == "solo"
+        assert render_path(JoinPath(("solo",))) == "solo"
 
     def test_candidate_lines_numbering_and_union(self, retail_graph):
         candidates = build_candidates(
@@ -476,8 +476,12 @@ class TestRendering:
         )
         lines = render_candidate_lines(candidates, include_union=True)
         assert lines == [
-            "path_id=1: customers -> orders -> order_items -> products",
-            "path_id=2: customers -> orders -> reviews -> products",
+            "path_id=1: customers -> orders -> order_items -> products (join: "
+            "orders.customer_id = customers.customer_id, order_items.order_id = orders.order_id, "
+            "order_items.product_id = products.product_id)",
+            "path_id=2: customers -> orders -> reviews -> products (join: "
+            "orders.customer_id = customers.customer_id, reviews.order_id = orders.order_id, "
+            "reviews.product_id = products.product_id)",
             "path_id=3: UNION {customers, order_items, orders, products, reviews}",
         ]
         without = render_candidate_lines(candidates, include_union=False)
@@ -526,7 +530,7 @@ class TestSelectPath:
 
     def test_selector_choice_wins(self, retail_graph):
         candidates = two_path_candidates(retail_graph)
-        selection = select_path(candidates, MODE4, lambda lines: 2, retail_graph)
+        selection = select_path(candidates, MODE4, lambda lines: 2)
         assert selection.rule == "selector"
         assert selection.chosen_tables == frozenset(
             {"customers", "orders", "reviews", "products"}

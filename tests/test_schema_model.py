@@ -190,7 +190,7 @@ class TestGraph:
         )
 
     def test_edge_lookup_is_case_insensitive(self, retail_graph):
-        assert retail_graph.has_edge("ORDERS", "Customers")
+        assert retail_graph.edge_between("ORDERS", "Customers") is not None
         assert retail_graph.edge_between("customers", "suppliers") is None
 
     def test_parallel_keys_merge_into_one_edge(self):
@@ -269,7 +269,7 @@ class TestAugmentation:
         # alpha and gamma share only "label", which is not a join key
         schema = self.sparse_schema()
         graph = augment_sparse_graph(build_graph(schema), schema)
-        assert not graph.has_edge("alpha", "gamma")
+        assert graph.edge_between("alpha", "gamma") is None
 
     def test_shared_id_substring_column_adds_no_edge(self):
         schema = Schema(

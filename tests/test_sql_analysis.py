@@ -300,7 +300,7 @@ class TestJoinPathRendering:
         )(MODE_PRESETS["mode4"])
         assert result.selection_rule == "sole_candidate"
         assert (
-            render_join_path(result, retail_graph)
+            render_join_path(result)
             == "customers -> orders (orders.customer_id = customers.customer_id)"
         )
 
@@ -312,7 +312,7 @@ class TestJoinPathRendering:
             scripted(("orders",), ("customers",)),
         )(MODE_PRESETS["mode7"])
         assert (
-            render_join_path(result, retail_graph)
+            render_join_path(result)
             == "customers, orders\njoins:\norders.customer_id = customers.customer_id"
         )
 
@@ -323,7 +323,7 @@ class TestJoinPathRendering:
             retail_graph,
             scripted(("customers",), ("customers",)),
         )(MODE_PRESETS["mode7"])
-        assert render_join_path(result, retail_graph) == "customers (no joins required)"
+        assert render_join_path(result) == "customers (no joins required)"
 
     def test_zero_length_path_needs_no_joins(self, retail_schema, retail_graph):
         result = link(
@@ -333,7 +333,7 @@ class TestJoinPathRendering:
             scripted(("customers",), ("customers",)),
         )(MODE_PRESETS["mode4"])
         assert result.chosen_path_id == 1
-        assert render_join_path(result, retail_graph) == "customers (no joins required)"
+        assert render_join_path(result) == "customers (no joins required)"
 
     def test_multi_hop_path_conditions_in_order(self, retail_schema, retail_graph):
         result = link(
@@ -343,7 +343,7 @@ class TestJoinPathRendering:
             scripted(("customers",), ("products",)),
             path_oracle=lambda question, lines: 1,
         )(MODE_PRESETS["mode4"])
-        assert render_join_path(result, retail_graph) == (
+        assert render_join_path(result) == (
             "customers -> orders -> order_items -> products "
             "(orders.customer_id = customers.customer_id, "
             "order_items.order_id = orders.order_id, "
@@ -401,10 +401,23 @@ class TestJoinPathMatchesReference:
                 for _ in range(rng.randint(0, 12))
             ]
             split = rng.randint(0, len(keys))
-            paths = tuple(
-                JoinPath(tuple(rng.sample(tables, rng.randint(1, len(tables)))))
+            # The graph groups the same keys by pair, induced then augmented.
+            grouped: dict[frozenset[str], list[ForeignKeyEdge]] = {}
+            for fk in keys:
+                pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
+                if len(pair) == 2:
+                    grouped.setdefault(pair, []).append(fk)
+            canonical = {name.casefold(): name for name in tables}
+            edges = [
+                GraphEdge(tuple(canonical[key] for key in sorted(pair)), tuple(fks))
+                for pair, fks in grouped.items()
+            ]
+            graph = SchemaGraph(tuple(tables), tuple(edges))
+            sequences = (
+                tuple(rng.sample(tables, rng.randint(1, len(tables))))
                 for _ in range(rng.randint(1, 3))
             )
+            paths = tuple(JoinPath(seq, graph.join_conditions(seq)) for seq in sequences)
             union = frozenset(table for path in paths for table in path.tables)
             path_id = rng.choice([None, *range(1, len(paths) + 2)])
             concrete = path_id is not None and path_id <= len(paths)
@@ -417,18 +430,7 @@ class TestJoinPathMatchesReference:
                 induced_fk_edges=tuple(keys[:split]),
                 augmented_join_edges=tuple(keys[split:]),
             )
-            # The graph groups the same keys by pair, induced then augmented.
-            grouped: dict[frozenset[str], list[ForeignKeyEdge]] = {}
-            for fk in keys:
-                pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
-                if len(pair) == 2:
-                    grouped.setdefault(pair, []).append(fk)
-            canonical = {name.casefold(): name for name in tables}
-            edges = [
-                GraphEdge(tuple(canonical[key] for key in sorted(pair)), tuple(fks))
-                for pair, fks in grouped.items()
-            ]
-            rendered = render_join_path(result, SchemaGraph(tuple(tables), tuple(edges)))
+            rendered = render_join_path(result)
             assert rendered == reference_join_path(result), result
             joined_paths += concrete and rendered.endswith(")") and "no joins" not in rendered
             joined_unions += not concrete and "joins:" in rendered
