@@ -435,6 +435,9 @@ def extract_sql_reply(reply: str) -> str | None:
 
 
 _LINKED_FIELDS = ("question", "db_id", "filtered_schema", "join_path")
+# The link fields a generated row keeps; the link file holds the rest under
+# the same question_id.
+_CARRIED_FIELDS = ("question_id", "db_id", "mode", "error", "chosen_tables")
 
 
 def run_generation(
@@ -445,15 +448,17 @@ def run_generation(
     *,
     repo: SchemaRepository | None = None,
 ) -> RunOutcome:
-    """Generate SQL for every linked row, carrying the link fields forward.
+    """Generate SQL for every linked row.
 
     Renders the join-path prompt from the row's filtered schema, or, when
     config.baseline is set, the baseline prompt from the full schema of the
     row's database in repo. The last link row per question_id is used; one
     without an error that lacks a linked field raises ParseError. Output
-    rows that already hold generated SQL are skipped. A row keeps
-    the link stage's token_usage and records the generation request's own
-    tokens as generation_token_usage.
+    rows that already hold generated SQL are skipped. A generated row keeps
+    only the link fields in ``_CARRIED_FIELDS`` that the link row has, and
+    adds predicted_sql, generation_error, prompt_kind ("linked" or
+    "baseline"), model and, when the backend reported any, the generation
+    request's own tokens as generation_token_usage.
     """
     if config.baseline and repo is None:
         raise ValueError("baseline generation needs repo= to render the full schema")
@@ -468,6 +473,7 @@ def run_generation(
     if out_path is None:
         out_path = link_output.with_name(link_output.stem + "_generated.jsonl")
     client = client if client is not None else config.build_client()
+    kind = "baseline" if config.baseline else "linked"
 
     def work(row: dict, pending: list[int]) -> list[dict]:
         client.pop_usage()  # drop what anything before this row left behind
@@ -493,7 +499,10 @@ def run_generation(
         except Exception as exc:  # recorded inline; the run continues
             log.warning("generation for %s failed: %s", row["question_id"], exc)
             failure = _error_payload(exc)
-        out = {**row, "predicted_sql": sql, "generation_error": failure}
+        out = {key: row[key] for key in _CARRIED_FIELDS if key in row}
+        out.update(
+            predicted_sql=sql, generation_error=failure, prompt_kind=kind, model=config.model
+        )
         return [_with_usage(out, client, "generation_token_usage")]
 
     return _run_rows(rows, [Path(out_path)], work, "generation_error", client, config)[0][0]

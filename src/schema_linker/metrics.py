@@ -232,13 +232,13 @@ def execution_match(
         connection = holder.connect(database)
         try:
             gold_rows = _run_statement(connection, gold_sql, timeout_s)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, sqlite3.Warning) as exc:  # Python 3.10 warns on two statements
             raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
         if not predicted_sql:
             return False
         try:
             predicted_rows = _run_statement(connection, predicted_sql, timeout_s)
-        except sqlite3.Error:
+        except (sqlite3.Error, sqlite3.Warning):
             return False
         return Counter(gold_rows) == Counter(predicted_rows)
     finally:

@@ -573,6 +573,143 @@ class TestRunGeneration:
             run_generation(empty, golden_pipeline.config)
 
 
+GENERATED_KEYS = {
+    "question_id",
+    "db_id",
+    "mode",
+    "error",
+    "chosen_tables",
+    "predicted_sql",
+    "generation_error",
+    "prompt_kind",
+    "model",
+}
+
+
+class UsageBackend(ScriptedBackend):
+    """A scripted backend that reports five tokens for each reply."""
+
+    def __init__(self):
+        super().__init__()
+        self.unreported = 0
+
+    def complete(self, request):
+        self.unreported += 5
+        return super().complete(request)
+
+    def pop_usage(self):
+        spent, self.unreported = self.unreported, 0
+        return {"total_tokens": spent} if spent else {}
+
+
+def record_generation(link_path, out_path, *, repo=None, backend=None, **settings) -> list[dict]:
+    """Generate from link_path in record mode into a fresh cache; return the rows written."""
+    cache_path = out_path.with_name(out_path.stem + "_cache.jsonl")
+    backend = backend or ScriptedBackend()
+    client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+    config = RunConfig(cache_path=cache_path, cache_mode="record", workers=1, **settings)
+    run_generation(link_path, config, client=client, out_path=out_path, repo=repo)
+    return read_rows(out_path)
+
+
+def write_rows(path: Path, rows: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), "utf-8")
+    return path
+
+
+class TestGeneratedRows:
+    """A generated row holds what generation made, not a copy of its link row."""
+
+    def test_linked_and_baseline_rows_differ_in_prompt_kind(
+        self, golden_pipeline, repo, tmp_path
+    ):
+        linked = read_rows(golden_pipeline.gen_path)
+        baseline = record_generation(
+            golden_pipeline.link_path, tmp_path / "base.jsonl", repo=repo, baseline=True
+        )
+        assert len(linked) == len(baseline) == 10
+        for linked_row, baseline_row in zip(linked, baseline):
+            assert set(linked_row) == set(baseline_row) == GENERATED_KEYS
+            assert linked_row["prompt_kind"] == "linked"
+            assert baseline_row["prompt_kind"] == "baseline"
+            assert linked_row["model"] == golden_pipeline.config.model
+            differing = {key for key in GENERATED_KEYS if linked_row[key] != baseline_row[key]}
+            assert differing == {"prompt_kind"}
+
+    def test_failed_link_row_keeps_its_error(self, questions, repo, tmp_path):
+        link_path = tmp_path / "link.jsonl"
+        config = RunConfig(mode="mode7", cache_path=tmp_path / "empty.jsonl")
+        run_linking(questions[:2], config, repo, link_path, client=replay_client(config.cache_path))
+        links = read_rows(link_path)
+        assert all(row["error"] for row in links)
+        rows = record_generation(link_path, tmp_path / "gen.jsonl")
+        assert len(rows) == 2
+        for link_row, row in zip(links, rows):
+            assert set(row) == GENERATED_KEYS - {"chosen_tables"}
+            assert (row["mode"], row["error"]) == ("mode7", link_row["error"])
+            assert row["generation_error"]["message"] == "linking failed upstream"
+            assert row["prompt_kind"] == "linked"
+
+    def test_record_row_carries_its_generation_tokens(self, golden_pipeline, tmp_path):
+        rows = record_generation(
+            golden_pipeline.link_path, tmp_path / "gen.jsonl", backend=UsageBackend()
+        )
+        assert len(rows) == 10
+        for row in rows:
+            assert set(row) == GENERATED_KEYS | {"generation_token_usage"}
+            assert row["generation_token_usage"] == {"total_tokens": 5}
+
+
+class TestOldGeneratedFiles:
+    """Generated files whose rows copy their whole link row still resume and evaluate."""
+
+    @pytest.fixture
+    def files(self, golden_pipeline, tmp_path):
+        """The golden run's generated rows, question 5 failed, in the old and the new shape."""
+        links = {row["question_id"]: row for row in read_rows(golden_pipeline.link_path)}
+        failed = {
+            "predicted_sql": None,
+            "generation_error": {"code": "GENERATION_FAILED", "message": "no SQL found in reply"},
+        }
+        new = [
+            dict(row, **failed) if row["question_id"] == "5" else row
+            for row in read_rows(golden_pipeline.gen_path)
+        ]
+        old = [
+            {
+                **links[row["question_id"]],
+                "predicted_sql": row["predicted_sql"],
+                "generation_error": row["generation_error"],
+            }
+            for row in new
+        ]
+        return SimpleNamespace(
+            old=write_rows(tmp_path / "old.jsonl", old), new=write_rows(tmp_path / "new.jsonl", new)
+        )
+
+    def test_old_file_retries_only_its_failed_row(self, golden_pipeline, files):
+        outcome = run_generation(
+            golden_pipeline.link_path,
+            golden_pipeline.config,
+            client=replay_client(golden_pipeline.cache_path),
+            out_path=files.old,
+        )
+        assert (outcome.completed, outcome.skipped, outcome.failed) == (1, 9, 0)
+        *_, retried = read_rows(files.old)
+        assert retried["question_id"] == "5"
+        assert retried["predicted_sql"] == CORPUS[4]["SQL"]
+
+    def test_old_and_new_files_give_identical_reports(self, files, questions, repo, tmp_path):
+        reports = [
+            run_evaluation(path, questions, repo, check_execution=True, report_dir=tmp_path / name)
+            for name, path in (("old", files.old), ("new", files.new))
+        ]
+        assert reports[0].summary["overall"]["execution_accuracy"] == pytest.approx(0.9)
+        for report in ("summary_path", "per_question_path"):
+            old, new = (getattr(produced, report).read_bytes() for produced in reports)
+            assert old == new, report
+
+
 def as_set(rows: list[dict]) -> set[str]:
     return {json.dumps(row, sort_keys=True) for row in rows}
 
@@ -895,9 +1032,9 @@ class TestTokenUsage:
         outcome = run_generation(link_path, config)
         rows = read_rows(outcome.path)
         assert outcome.failed == 2
-        assert {row["question_id"]: row.get("token_usage") for row in rows} == {
-            row["question_id"]: row.get("token_usage") for row in read_rows(link_path)
-        }
+        # The link stage's tokens stay in the link file.
+        assert all("token_usage" in row for row in read_rows(link_path))
+        assert not any("token_usage" in row for row in rows)
         # The failed link row makes no request; the reply without SQL still spent one.
         tags = {
             question.question_id: f"q{question.question_id}"

@@ -224,6 +224,53 @@ class TestExecutionMatch:
         with pytest.raises(GoldExecutionError):
             execution_match("SELECT 1", bomb, toy_db, timeout_s=0.05)
 
+    def test_two_statements_score_false(self, toy_db):
+        assert not execution_match("SELECT x FROM t; SELECT 2", "SELECT x FROM t", toy_db)
+
+    def test_predicted_sql_refused_with_a_warning_scores_false(self, toy_db):
+        two = "SELECT x FROM t; SELECT 2"
+        with WarningConnections(two) as connections:
+            assert not execution_match(two, "SELECT x FROM t", toy_db, connections=connections)
+            one = "SELECT x FROM t"
+            assert execution_match(one, one, toy_db, connections=connections)
+
+    def test_gold_sql_refused_with_a_warning_is_an_error(self, toy_db):
+        two = "SELECT x FROM t; SELECT 2"
+        with WarningConnections(two) as connections:
+            with pytest.raises(GoldExecutionError, match="one statement"):
+                execution_match("SELECT x FROM t", two, toy_db, connections=connections)
+
+
+class RefusingConnection:
+    """A connection whose execute refuses one SQL text with sqlite3.Warning."""
+
+    def __init__(self, connection: sqlite3.Connection, refused: str):
+        self._connection = connection
+        self._refused = refused
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def execute(self, sql: str):
+        if sql == self._refused:
+            raise sqlite3.Warning("You can only execute one statement at a time.")
+        return self._connection.execute(sql)
+
+
+class WarningConnections(ReadOnlyConnections):
+    """Connections that refuse ``refused`` as Python 3.10's sqlite3 refuses two statements.
+
+    On 3.10 that refusal is ``sqlite3.Warning``, which is not an
+    ``sqlite3.Error``; later versions raise ``ProgrammingError`` instead.
+    """
+
+    def __init__(self, refused: str):
+        super().__init__()
+        self._refused = refused
+
+    def connect(self, database):
+        return RefusingConnection(super().connect(database), self._refused)
+
 
 class TestReadOnlyConnections:
     # Each case: a predicted statement that leaves state on the connection,
