@@ -95,7 +95,7 @@ def main() -> None:
 
         print()
         print("filtered schema for the union of those candidates:")
-        print(render_filtered_schema(schema, candidates.union_tables, schema.foreign_keys))
+        print(render_filtered_schema(schema, candidates.union_tables))
 
 
 if __name__ == "__main__":

@@ -393,10 +393,10 @@ def _link_questions(
                         "selection_rule": result.selection_rule,
                         "degraded": result.degraded,
                         "warnings": list(result.warnings),
-                        "filtered_schema": render_filtered_schema(
-                            schema, result.chosen_tables, result.induced_fk_edges
+                        "filtered_schema": render_filtered_schema(schema, result.chosen_tables),
+                        "join_path": render_join_path(
+                            schema, graph, result.chosen_tables, result.chosen_path()
                         ),
-                        "join_path": render_join_path(result),
                     }
                 row.update(fields)
             except Exception as exc:  # recorded inline; the other modes and the run continue

@@ -185,12 +185,12 @@ def request_digest(request: CompletionRequest) -> str:
     return state.hexdigest()
 
 
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+
+
 def _fill(template: str, values: dict[str, str]) -> str:
-    # Literal replacement; str.format would choke on braces inside content.
-    out = template
-    for key, val in values.items():
-        out = out.replace("{" + key + "}", val)
-    return out
+    # One pass: inserted text is never searched; a name without a value stays.
+    return _PLACEHOLDER_RE.sub(lambda match: values.get(match[1], match[0]), template)
 
 
 def render_src_dst_prompt(

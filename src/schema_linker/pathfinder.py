@@ -24,7 +24,7 @@ from .errors import (
     ReplyParseError,
     UnknownTableError,
 )
-from .schema_model import ForeignKeyEdge, Schema, SchemaGraph
+from .schema_model import Schema, SchemaGraph
 
 
 class EndpointKeep(str, Enum):
@@ -133,8 +133,6 @@ class LinkResult:
     candidates: CandidateSet
     chosen_tables: frozenset[str]
     chosen_path_id: int | None
-    induced_fk_edges: tuple[ForeignKeyEdge, ...]
-    augmented_join_edges: tuple[ForeignKeyEdge, ...] = ()
     selection_rule: str = ""
     warnings: tuple[str, ...] = ()
     degraded: bool = False
@@ -478,15 +476,6 @@ def link(
                 candidates = candidate_sets[kept] = build_candidates(graph, *kept, config)
             selection = select_path(candidates, config, selector)
 
-        chosen_keys = {table.casefold() for table in selection.chosen_tables}
-        keys = schema.foreign_keys
-        positions = sorted(i for t in chosen_keys for i in schema.keys_by_source.get(t, ()))
-        induced = tuple(keys[i] for i in positions if keys[i].to_table.casefold() in chosen_keys)
-        augmented = tuple(
-            fk
-            for fk in graph.augmented_keys
-            if fk.from_table.casefold() in chosen_keys and fk.to_table.casefold() in chosen_keys
-        )
         warnings = tuple(extraction.warnings) + candidates.diagnostics + selection.warnings
         results[plan] = LinkResult(
             sources=sources,
@@ -494,8 +483,6 @@ def link(
             candidates=candidates,
             chosen_tables=selection.chosen_tables,
             chosen_path_id=selection.chosen_path_id,
-            induced_fk_edges=induced,
-            augmented_join_edges=augmented,
             selection_rule=selection.rule,
             warnings=warnings,
             degraded=degraded,

@@ -145,16 +145,21 @@ class Schema:
         # Imported here because sql_analysis imports this module.
         from .sql_analysis import render_filtered_schema
 
-        return render_filtered_schema(self, self.table_names, self.foreign_keys)
+        return render_filtered_schema(self, self.table_names)
 
     @cached_property
-    def ddl(self) -> tuple[dict[str, tuple[str, str]], dict[ForeignKeyEdge, str]]:
-        """Text ``render_filtered_schema`` joins: each ``table_ddl`` by casefolded
-        name, and each declared key's ``foreign_key_ddl`` line."""
+    def ddl(self) -> dict[str, tuple[str, str, tuple[tuple[int, str, str], ...]]]:
+        """What the prompt renderers join, by casefolded table name: the table's
+        ``table_ddl`` lines, then for each key it declares, in declaration order,
+        the key's position in ``foreign_keys``, its casefolded target and its
+        ``foreign_key_ddl`` line."""
         from .sql_analysis import foreign_key_ddl, table_ddl
 
-        tables = {table.name.casefold(): table_ddl(table) for table in self.tables}
-        return tables, {fk: foreign_key_ddl(fk) for fk in self.foreign_keys}
+        keys: dict[str, list[tuple[int, str, str]]] = {name: [] for name in self._by_name}
+        for i, fk in enumerate(self.foreign_keys):
+            entry = (i, fk.to_table.casefold(), foreign_key_ddl(fk))
+            keys[fk.from_table.casefold()].append(entry)
+        return {name: (*table_ddl(table), tuple(keys[name])) for name, table in self._by_name.items()}
 
     @cached_property
     def compile_database(self) -> tuple[sqlite3.Connection, threading.Lock]:
@@ -174,14 +179,6 @@ class Schema:
             raise ParseError(f"schema {self.database_id!r} does not compile: {exc}") from exc
         weakref.finalize(self, connection.close)
         return connection, threading.Lock()
-
-    @cached_property
-    def keys_by_source(self) -> dict[str, list[int]]:
-        """Positions in ``foreign_keys`` of each table's keys, by casefolded name."""
-        index: dict[str, list[int]] = {}
-        for i, fk in enumerate(self.foreign_keys):
-            index.setdefault(fk.from_table.casefold(), []).append(i)
-        return index
 
     @property
     def table_names(self) -> tuple[str, ...]:

@@ -15,8 +15,8 @@ from .errors import ParseError, UnknownTableError
 from .schema_model import ForeignKeyEdge, Schema, TableDef, join_condition, quote_identifier
 
 if TYPE_CHECKING:
-    from .pathfinder import LinkResult
-    from .schema_model import ColumnDef
+    from .pathfinder import JoinPath
+    from .schema_model import ColumnDef, SchemaGraph
 
 
 @dataclass(frozen=True)
@@ -156,37 +156,32 @@ def foreign_key_ddl(fk: ForeignKeyEdge) -> str:
     )
 
 
-def render_filtered_schema(
-    schema: Schema,
-    chosen_tables: Iterable[str],
-    induced_fk_edges: Iterable[ForeignKeyEdge],
-) -> str:
-    """Render the chosen tables as compact DDL-like text for prompts.
-
-    Tables appear in case-insensitive name order; each block lists columns
-    in schema order and then, in their given order, the induced foreign
-    keys whose source is that table and whose target is chosen. Rendering
-    the full table set with all declared keys reproduces the whole-schema
-    serialization byte for byte. Keys outside ``schema.ddl`` are formatted here.
-    """
-    tables, key_lines = schema.ddl
+def _chosen_keys(schema: Schema, chosen_tables: Iterable[str]) -> set[str]:
+    """The chosen tables' casefolded names; UnknownTableError for one the schema lacks."""
+    tables = schema.ddl
     chosen: set[str] = set()
     for name in chosen_tables:
         key = name.casefold()
         if key not in tables:
             raise UnknownTableError(f"unknown table {name!r}")
         chosen.add(key)
+    return chosen
 
-    fk_lines: dict[str, list[str]] = {}
-    for fk in induced_fk_edges:
-        if fk.to_table.casefold() in chosen:
-            line = key_lines.get(fk) or foreign_key_ddl(fk)
-            fk_lines.setdefault(fk.from_table.casefold(), []).append(line)
 
+def render_filtered_schema(schema: Schema, chosen_tables: Iterable[str]) -> str:
+    """Render the chosen tables as compact DDL-like text for prompts.
+
+    Tables appear in case-insensitive name order; each block lists columns
+    in schema order and then, in declaration order, the table's declared
+    keys whose target is also chosen. Rendering every table reproduces the
+    whole-schema serialization byte for byte.
+    """
+    chosen = _chosen_keys(schema, chosen_tables)
     blocks: list[str] = []
     for key in sorted(chosen):
-        header, columns = tables[key]
-        body = ",\n".join(filter(None, (columns, *fk_lines.get(key, ()))))
+        header, columns, keys = schema.ddl[key]
+        lines = (line for _, target, line in keys if target in chosen)
+        body = ",\n".join(filter(None, (columns, *lines)))
         blocks.append(f"{header}{body}\n);")
     return "\n\n".join(blocks)
 
@@ -199,30 +194,31 @@ def render_schema(schema: Schema) -> str:
     return schema.rendered
 
 
-def render_join_path(result: "LinkResult") -> str:
+def render_join_path(
+    schema: Schema, graph: SchemaGraph, chosen_tables: Iterable[str], path: JoinPath | None
+) -> str:
     """Describe the chosen tables and how they join, for a generation prompt.
 
-    A concrete path renders as "A -> B (A.x = B.y)", with the path's own join
-    conditions; a union selection renders the sorted table list and one line per
-    induced join condition; a lone table is marked as needing no joins.
+    ``path`` is the chosen path, or None for a union. A path renders as
+    "A -> B (A.x = B.y)", with the path's own join conditions. A union
+    renders the sorted table list, then one line per join condition among
+    the chosen tables: the schema's declared keys in declaration order, then
+    the graph's id-augmented keys. A lone table is marked as needing no joins.
     """
-    path = result.chosen_path()
-    if path is not None:
-        if path.length == 0:
-            return f"{path.tables[0]} (no joins required)"
-        arrow = " -> ".join(path.tables)
-        conditions = dict.fromkeys(path.conditions)
-        if conditions:
-            return f"{arrow} ({', '.join(conditions)})"
-        return arrow
-
-    tables = sorted(result.chosen_tables, key=str.casefold)
+    chosen = _chosen_keys(schema, chosen_tables)
+    tables = sorted(chosen_tables, key=str.casefold) if path is None else path.tables
     if len(tables) == 1:
         return f"{tables[0]} (no joins required)"
+    if path is not None:
+        arrow = " -> ".join(tables)
+        conditions = ", ".join(dict.fromkeys(path.conditions))
+        return f"{arrow} ({conditions})" if conditions else arrow
+    positions = sorted(i for t in chosen for i, target, _ in schema.ddl[t][2] if target in chosen)
+    keys = [schema.foreign_keys[i] for i in positions]
+    augmented = graph.augmented_keys
+    keys += (k for k in augmented if {k.from_table.casefold(), k.to_table.casefold()} <= chosen)
+    conditions = dict.fromkeys(map(join_condition, keys))
     lines = [", ".join(tables)]
-    all_edges = (*result.induced_fk_edges, *result.augmented_join_edges)
-    conditions = list(dict.fromkeys(join_condition(fk) for fk in all_edges))
     if conditions:
-        lines.append("joins:")
-        lines.extend(conditions)
+        lines += ("joins:", *conditions)
     return "\n".join(lines)

@@ -4,6 +4,7 @@ No linter ships with the project, so this guard parses each module with
 ``ast``: a name bound by an import must be read somewhere in the module,
 annotations and quoted annotations included, or be re-exported by
 ``__all__``. ``from __future__`` imports and star imports are exempt.
+Each module must also parse under the oldest grammar the package supports.
 """
 
 import ast
@@ -57,3 +58,16 @@ def test_guard_flags_what_a_module_leaves_behind():
         "        return json.loads(path)\n"
     )
     assert unused_imports(source) == ["os", "nullcontext", "TypeVar"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10; newer syntax fails this.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_grammar_guard_flags_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -212,6 +212,23 @@ class TestPromptRendering:
         request = render_sql_gen_prompt("q", 'CREATE TABLE "{weird}" (x);')
         assert '"{weird}"' in request.system_text
 
+    def test_placeholders_inside_inserted_text_stay_literal(self):
+        request = render_sql_gen_prompt(
+            "q",
+            "CREATE TABLE t (x)",
+            join_path_text="t (no joins required)",
+            evidence="literal {join_path_string} here",
+        )
+        assert "- Question Context: literal {join_path_string} here\n" in request.system_text
+        request = render_sql_gen_prompt(
+            "q", 'CREATE TABLE "{evidence_string}" (x)', evidence="e", baseline=True
+        )
+        assert 'CREATE TABLE "{evidence_string}" (x)\n' in request.system_text
+        assert "- Question Context: e\n" in request.system_text
+        # The baseline template has no join path, so the value is never read.
+        request = render_sql_gen_prompt("q", "{join_path_string}", baseline=True)
+        assert "\n{join_path_string}\n" in request.system_text
+
 
 class TestSrcDstParsing:
     def test_single_line_reply(self, retail_schema):

@@ -39,7 +39,9 @@ from schema_linker.schema_model import (
     TableDef,
     augment_sparse_graph,
     build_graph,
+    join_condition,
 )
+from schema_linker.sql_analysis import render_filtered_schema, render_join_path, render_schema
 
 from oracle_paths import (
     brute_shortest_paths,
@@ -48,7 +50,7 @@ from oracle_paths import (
     is_connected,
     random_adjacency,
 )
-from reference_render import wide_schema
+from reference_render import reference_render, wide_schema
 
 
 def graph_of(*pairs):
@@ -424,6 +426,8 @@ def sparse_schema(rng):
 
 
 class TestLinkKeyOrderMatchesReference:
+    """The keys a chosen table set shows, rendered, against a linear scan."""
+
     def test_random_schemas_and_chosen_sets(self):
         rng = random.Random(8086)
         schemas = [wide_schema(rng.randint(8, 30), rng.randint(5, 40), seed) for seed in range(6)]
@@ -435,27 +439,21 @@ class TestLinkKeyOrderMatchesReference:
             for _ in range(25):
                 chosen = rng.sample(names, rng.randint(1, min(len(names), 8)))
                 chosen = [name.swapcase() if rng.random() < 0.3 else name for name in chosen]
-                sources = chosen[: rng.randint(1, len(chosen))]
-                destinations = chosen[len(sources) - 1 :]
-                result = link(
-                    "q",
-                    schema,
-                    graph,
-                    self.endpoints(sources, destinations),
-                    path_oracle=lambda question, lines: rng.randint(1, len(lines)),
-                )(preset(rng.choice(list(MODE_PRESETS))))
-                induced, augmented = reference_keys(schema, graph, result.chosen_tables)
-                assert result.induced_fk_edges == induced
-                assert result.augmented_join_edges == augmented
+                induced, augmented = reference_keys(schema, graph, chosen)
+                tables = sorted(chosen, key=str.casefold)
+                lines = [", ".join(tables)]
+                conditions = list(dict.fromkeys(map(join_condition, (*induced, *augmented))))
+                if len(tables) == 1:
+                    lines = [f"{tables[0]} (no joins required)"]
+                elif conditions:
+                    lines += ["joins:", *conditions]
+                assert render_join_path(schema, graph, chosen, None) == "\n".join(lines)
+                expected = reference_render(schema, chosen, schema.foreign_keys)
+                assert render_filtered_schema(schema, chosen) == expected
                 longest_induced = max(longest_induced, len(induced))
                 with_augmented += len(augmented) > 1
         assert longest_induced >= 5
         assert with_augmented > 20
-
-    @staticmethod
-    def endpoints(sources, destinations):
-        extraction = EndpointExtraction(sources=tuple(sources), destinations=tuple(destinations))
-        return lambda question, schema, evidence: extraction
 
 
 class TestRendering:
@@ -584,6 +582,14 @@ class TestSelectPath:
         assert selection.warnings
 
 
+def rendered(schema, graph, result):
+    """The filtered schema and the join path a link row shows for result."""
+    return (
+        render_filtered_schema(schema, result.chosen_tables),
+        render_join_path(schema, graph, result.chosen_tables, result.chosen_path()),
+    )
+
+
 class TestLinkPipeline:
     def endpoints(self, sources, destinations, **kwargs):
         extraction = EndpointExtraction(
@@ -604,14 +610,14 @@ class TestLinkPipeline:
         assert result.chosen_tables == frozenset(
             {"customers", "orders", "order_items", "products", "reviews"}
         )
-        induced = {
-            (fk.from_table, fk.from_column, fk.to_table, fk.to_column)
-            for fk in result.induced_fk_edges
-        }
+        schema_text, join_text = rendered(retail_schema, retail_graph, result)
         # every declared key lives inside the chosen set except products->suppliers
-        assert ("products", "supplier_id", "suppliers", "supplier_id") not in induced
-        assert len(induced) == 5
-        assert result.augmented_join_edges == ()
+        assert schema_text.count("FOREIGN KEY") == 5
+        assert "REFERENCES suppliers" not in schema_text
+        lines = join_text.split("\n")
+        assert lines[:2] == ["customers, order_items, orders, products, reviews", "joins:"]
+        declared = [join_condition(fk) for fk in retail_schema.foreign_keys]
+        assert lines[2:] == [line for line in declared if "suppliers" not in line]
         assert not result.degraded
 
     def test_selector_path_and_chosen_path_accessor(
@@ -631,12 +637,19 @@ class TestLinkPipeline:
             "order_items",
             "products",
         )
-        induced = {(fk.from_table, fk.to_table) for fk in result.induced_fk_edges}
-        assert induced == {
-            ("orders", "customers"),
-            ("order_items", "orders"),
-            ("order_items", "products"),
-        }
+        schema_text, join_text = rendered(retail_schema, retail_graph, result)
+        keys = [line.strip(" ,") for line in schema_text.split("\n") if "FOREIGN KEY" in line]
+        assert keys == [
+            "FOREIGN KEY (product_id) REFERENCES products(product_id)",
+            "FOREIGN KEY (order_id) REFERENCES orders(order_id)",
+            "FOREIGN KEY (customer_id) REFERENCES customers(customer_id)",
+        ]
+        assert join_text == (
+            "customers -> orders -> order_items -> products "
+            "(orders.customer_id = customers.customer_id, "
+            "order_items.order_id = orders.order_id, "
+            "order_items.product_id = products.product_id)"
+        )
 
     def test_extraction_warnings_and_degraded_flag_propagate(
         self, retail_schema, retail_graph
@@ -677,9 +690,12 @@ class TestLinkPipeline:
             graph,
             self.endpoints(("employee",), ("office",)),
         )(MODE7)
-        induced = {(fk.from_table, fk.to_table) for fk in result.induced_fk_edges}
-        assert ("employee", "employee") in induced
-        assert ("employee", "office") in induced
+        schema_text, join_text = rendered(schema, graph, result)
+        assert "    FOREIGN KEY (manager) REFERENCES employee(eid),\n" in schema_text
+        assert "    FOREIGN KEY (eid) REFERENCES office(eid)\n" in schema_text
+        assert join_text == (
+            "employee, office\njoins:\nemployee.manager = employee.eid\nemployee.eid = office.eid"
+        )
 
     def test_augmented_edges_reported_when_used(self):
         schema = Schema(
@@ -693,9 +709,9 @@ class TestLinkPipeline:
         result = link(
             "q", schema, graph, self.endpoints(("a",), ("b",))
         )(MODE7)
-        assert result.induced_fk_edges == ()
-        (fk,) = result.augmented_join_edges
-        assert (fk.from_table, fk.to_table) == ("a", "b")
+        schema_text, join_text = rendered(schema, graph, result)
+        assert "FOREIGN KEY" not in schema_text
+        assert join_text == "a, b\njoins:\na.node_id = b.node_id"
 
 
 class TestDegradedLink:
@@ -722,7 +738,10 @@ class TestDegradedLink:
         assert result.candidates.paths == ()
         assert result.chosen_path_id is None and result.union_selected
         assert result.selection_rule == "degraded_union"
-        assert result.induced_fk_edges == retail_schema.foreign_keys
+        schema_text, join_text = rendered(retail_schema, retail_graph, result)
+        assert schema_text == render_schema(retail_schema)
+        declared = [join_condition(fk) for fk in retail_schema.foreign_keys]
+        assert join_text.split("\n")[1:] == ["joins:", *declared]
         assert result.warnings == ("endpoint extraction failed",)
         assert result.degraded
         assert retail_graph.path_cache == before

@@ -6,7 +6,7 @@ import pytest
 
 from schema_linker.errors import ParseError, UnknownTableError
 from schema_linker.llm import EndpointExtraction
-from schema_linker.pathfinder import MODE_PRESETS, CandidateSet, JoinPath, LinkResult, link
+from schema_linker.pathfinder import MODE_PRESETS, JoinPath, link
 from schema_linker.schema_model import (
     ColumnDef,
     FkProvenance,
@@ -15,8 +15,6 @@ from schema_linker.schema_model import (
     Schema,
     SchemaGraph,
     TableDef,
-    augment_sparse_graph,
-    build_graph,
     join_condition,
 )
 from schema_linker.sql_analysis import (
@@ -160,39 +158,28 @@ CREATE TABLE orders (
 
 class TestSchemaRendering:
     def test_filtered_two_table_block(self, retail_schema):
-        induced = [
-            fk
-            for fk in retail_schema.foreign_keys
-            if (fk.from_table, fk.to_table) == ("orders", "customers")
-        ]
-        text = render_filtered_schema(
-            retail_schema, ["orders", "customers"], induced
-        )
+        text = render_filtered_schema(retail_schema, ["orders", "customers"])
         assert text == CUSTOMERS_ORDERS_BLOCK
 
     def test_fk_outside_selection_omitted(self, retail_schema):
-        text = render_filtered_schema(
-            retail_schema, ["orders"], retail_schema.foreign_keys
-        )
+        text = render_filtered_schema(retail_schema, ["orders"])
         assert "FOREIGN KEY" not in text
 
     def test_full_render_matches_whole_schema_serialization(self, retail_schema):
-        assert (
-            render_filtered_schema(
-                retail_schema,
-                retail_schema.table_names,
-                retail_schema.foreign_keys,
-            )
-            == render_schema(retail_schema)
+        assert render_filtered_schema(retail_schema, retail_schema.table_names) == render_schema(
+            retail_schema
         )
 
     def test_full_render_contains_every_declared_key(self, retail_schema):
         text = render_schema(retail_schema)
         assert text.count("FOREIGN KEY") == len(retail_schema.foreign_keys)
 
-    def test_unknown_table_rejected(self, retail_schema):
-        with pytest.raises(UnknownTableError):
-            render_filtered_schema(retail_schema, ["ghost"], [])
+    def test_unknown_table_rejected(self, retail_schema, retail_graph):
+        with pytest.raises(UnknownTableError, match="'ghost'"):
+            render_filtered_schema(retail_schema, ["orders", "ghost"])
+        for path in (None, JoinPath(("orders",))):
+            with pytest.raises(UnknownTableError, match="'ghost'"):
+                render_join_path(retail_schema, retail_graph, ["orders", "ghost"], path)
 
     def test_awkward_names_are_quoted(self):
         schema = Schema(
@@ -204,23 +191,11 @@ class TestSchemaRendering:
                 ),
             ),
         )
-        text = render_filtered_schema(schema, ["odd name"], [])
+        text = render_filtered_schema(schema, ["odd name"])
         assert 'CREATE TABLE "odd name" (' in text
         assert '    "weird""col"' in text
         # plain identifiers stay unquoted even when they collide with keywords
         assert "\n    select\n" in text
-
-    def test_edges_may_be_a_generator(self, retail_schema):
-        # every table block must see its keys, even when the edges can be
-        # iterated only once
-        edges = retail_schema.foreign_keys
-        tables = retail_schema.table_names
-        from_tuple = render_filtered_schema(retail_schema, tables, tuple(edges))
-        from_generator = render_filtered_schema(
-            retail_schema, tables, (fk for fk in edges)
-        )
-        assert from_generator == from_tuple
-        assert from_generator.count("FOREIGN KEY") == len(edges)
 
     def test_full_render_is_memoised(self, retail_schema):
         assert render_schema(retail_schema) is render_schema(retail_schema)
@@ -248,7 +223,7 @@ class TestRenderMatchesReference:
             assert render_schema(schema) == expected
             assert schema.rendered == expected
 
-    def test_keys_outside_the_schema_and_tables_without_columns(self):
+    def test_tables_without_columns(self):
         schema = Schema(
             database_id="d",
             tables=(
@@ -256,15 +231,11 @@ class TestRenderMatchesReference:
                 TableDef("a", (ColumnDef("node_id", "INTEGER"), ColumnDef("id"))),
                 TableDef("B c", (ColumnDef("Node_ID"), ColumnDef("ID", "INTEGER"))),
             ),
+            foreign_keys=(ForeignKeyEdge("A", "node_id", "b c", "node_id"),),
         )
-        augmented = augment_sparse_graph(build_graph(schema), schema).augmented_keys
-        assert [fk.provenance for fk in augmented] == [FkProvenance.ID_AUGMENTED] * 2
-        # A key from the table without columns names a column it lacks.
-        dangling = ForeignKeyEdge("EMPTY", "x", "a", "id")
-        chosen = ["empty", "A", "b C"]
-        for edges in ((), augmented, (dangling, *augmented)):
-            expected = reference_render(schema, chosen, edges)
-            assert render_filtered_schema(schema, chosen, edges) == expected
+        for chosen in (["empty"], ["empty", "A"], ["empty", "A", "b C"]):
+            expected = reference_render(schema, chosen, schema.foreign_keys)
+            assert render_filtered_schema(schema, chosen) == expected
         assert "CREATE TABLE Empty (\n\n);" in render_schema(schema)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -272,17 +243,8 @@ class TestRenderMatchesReference:
         rng = random.Random(seed)
         chosen = rng.sample(wide.table_names, rng.randint(1, 12))
         chosen = [name.swapcase() if rng.random() < 0.3 else name for name in chosen]
-        keys = {name.casefold() for name in chosen}
-        induced = [
-            fk
-            for fk in wide.foreign_keys
-            if fk.from_table.casefold() in keys and fk.to_table.casefold() in keys
-        ]
-        rng.shuffle(induced)
-        for edges in (induced, list(wide.foreign_keys)):
-            assert render_filtered_schema(wide, chosen, edges) == reference_render(
-                wide, chosen, edges
-            )
+        expected = reference_render(wide, chosen, wide.foreign_keys)
+        assert render_filtered_schema(wide, chosen) == expected
 
 
 def scripted(sources, destinations):
@@ -290,60 +252,47 @@ def scripted(sources, destinations):
     return lambda question, schema, evidence: extraction
 
 
+def join_path_of(schema, graph, endpoints, mode, path_oracle=None):
+    result = link("q", schema, graph, endpoints, path_oracle)(MODE_PRESETS[mode])
+    return result, render_join_path(schema, graph, result.chosen_tables, result.chosen_path())
+
+
 class TestJoinPathRendering:
     def test_concrete_path_with_conditions(self, retail_schema, retail_graph):
-        result = link(
-            "q",
-            retail_schema,
-            retail_graph,
-            scripted(("orders",), ("customers",)),
-        )(MODE_PRESETS["mode4"])
-        assert result.selection_rule == "sole_candidate"
-        assert (
-            render_join_path(result)
-            == "customers -> orders (orders.customer_id = customers.customer_id)"
+        result, text = join_path_of(
+            retail_schema, retail_graph, scripted(("orders",), ("customers",)), "mode4"
         )
+        assert result.selection_rule == "sole_candidate"
+        assert text == "customers -> orders (orders.customer_id = customers.customer_id)"
 
     def test_union_lists_tables_then_joins(self, retail_schema, retail_graph):
-        result = link(
-            "q",
-            retail_schema,
-            retail_graph,
-            scripted(("orders",), ("customers",)),
-        )(MODE_PRESETS["mode7"])
-        assert (
-            render_join_path(result)
-            == "customers, orders\njoins:\norders.customer_id = customers.customer_id"
+        _, text = join_path_of(
+            retail_schema, retail_graph, scripted(("orders",), ("customers",)), "mode7"
         )
+        assert text == "customers, orders\njoins:\norders.customer_id = customers.customer_id"
 
     def test_single_table_needs_no_joins(self, retail_schema, retail_graph):
-        result = link(
-            "q",
-            retail_schema,
-            retail_graph,
-            scripted(("customers",), ("customers",)),
-        )(MODE_PRESETS["mode7"])
-        assert render_join_path(result) == "customers (no joins required)"
+        _, text = join_path_of(
+            retail_schema, retail_graph, scripted(("customers",), ("customers",)), "mode7"
+        )
+        assert text == "customers (no joins required)"
 
     def test_zero_length_path_needs_no_joins(self, retail_schema, retail_graph):
-        result = link(
-            "q",
-            retail_schema,
-            retail_graph,
-            scripted(("customers",), ("customers",)),
-        )(MODE_PRESETS["mode4"])
+        result, text = join_path_of(
+            retail_schema, retail_graph, scripted(("customers",), ("customers",)), "mode4"
+        )
         assert result.chosen_path_id == 1
-        assert render_join_path(result) == "customers (no joins required)"
+        assert text == "customers (no joins required)"
 
     def test_multi_hop_path_conditions_in_order(self, retail_schema, retail_graph):
-        result = link(
-            "q",
+        _, text = join_path_of(
             retail_schema,
             retail_graph,
             scripted(("customers",), ("products",)),
+            "mode4",
             path_oracle=lambda question, lines: 1,
-        )(MODE_PRESETS["mode4"])
-        assert render_join_path(result) == (
+        )
+        assert text == (
             "customers -> orders -> order_items -> products "
             "(orders.customer_id = customers.customer_id, "
             "order_items.order_id = orders.order_id, "
@@ -351,10 +300,11 @@ class TestJoinPathRendering:
         )
 
 
-def reference_join_path(result) -> str:
-    """render_join_path with every key compared against every step of the path."""
-    all_edges = tuple(result.induced_fk_edges) + tuple(result.augmented_join_edges)
-    path = result.chosen_path()
+def reference_join_path(schema, graph, keys, chosen_tables, path) -> str:
+    """render_join_path by linear scans: each path step against every key in
+    ``keys``; a union's tables against every declared key, then every edge's
+    id-augmented keys."""
+    ends = lambda fk: {fk.from_table.casefold(), fk.to_table.casefold()}  # noqa: E731
     if path is not None:
         if path.length == 0:
             return f"{path.tables[0]} (no joins required)"
@@ -362,20 +312,24 @@ def reference_join_path(result) -> str:
         conditions = []
         for a, b in zip(path.tables, path.tables[1:]):
             pair = {a.casefold(), b.casefold()}
-            conditions.extend(
-                join_condition(fk)
-                for fk in all_edges
-                if {fk.from_table.casefold(), fk.to_table.casefold()} == pair
-            )
+            conditions.extend(join_condition(fk) for fk in keys if ends(fk) == pair)
         conditions = list(dict.fromkeys(conditions))
         if conditions:
             return f"{arrow} ({', '.join(conditions)})"
         return arrow
-    tables = sorted(result.chosen_tables, key=str.casefold)
+    tables = sorted(chosen_tables, key=str.casefold)
     if len(tables) == 1:
         return f"{tables[0]} (no joins required)"
+    chosen = {name.casefold() for name in tables}
+    augmented = [
+        fk
+        for edge in graph.edges
+        for fk in edge.justifications
+        if fk.provenance is FkProvenance.ID_AUGMENTED
+    ]
+    within = [fk for fk in (*schema.foreign_keys, *augmented) if ends(fk) <= chosen]
     lines = [", ".join(tables)]
-    conditions = list(dict.fromkeys(join_condition(fk) for fk in all_edges))
+    conditions = list(dict.fromkeys(join_condition(fk) for fk in within))
     if conditions:
         lines.append("joins:")
         lines.extend(conditions)
@@ -387,9 +341,10 @@ class TestJoinPathMatchesReference:
         rng = random.Random(2718)
         names = ["alpha", "Beta", "GAMMA", "delta", "Epsilon", "zeta"]
         spelled = lambda name: name.swapcase() if rng.random() < 0.3 else name  # noqa: E731
-        joined_paths = joined_unions = 0
+        joined_paths = joined_unions = with_both = 0
         for _ in range(500):
             tables = rng.sample(names, rng.randint(1, len(names)))
+            columns = tuple(ColumnDef(name) for name in ("id", "c0", "c1", "c2", "c3"))
             # Repeated columns repeat conditions; a key may reference its own table.
             keys = [
                 ForeignKeyEdge(
@@ -397,11 +352,13 @@ class TestJoinPathMatchesReference:
                     f"c{rng.randint(0, 3)}",
                     spelled(rng.choice(tables)),
                     rng.choice(["id", "ID"]),
+                    rng.choice(list(FkProvenance)),
                 )
                 for _ in range(rng.randint(0, 12))
             ]
-            split = rng.randint(0, len(keys))
-            # The graph groups the same keys by pair, induced then augmented.
+            declared = [fk for fk in keys if fk.provenance is FkProvenance.DECLARED_FK]
+            schema = Schema("d", tuple(TableDef(name, columns) for name in tables), declared)
+            # The graph groups every key but a self-reference by pair, in key order.
             grouped: dict[frozenset[str], list[ForeignKeyEdge]] = {}
             for fk in keys:
                 pair = frozenset((fk.from_table.casefold(), fk.to_table.casefold()))
@@ -417,22 +374,17 @@ class TestJoinPathMatchesReference:
                 tuple(rng.sample(tables, rng.randint(1, len(tables))))
                 for _ in range(rng.randint(1, 3))
             )
-            paths = tuple(JoinPath(seq, graph.join_conditions(seq)) for seq in sequences)
+            paths = [JoinPath(seq, graph.join_conditions(seq)) for seq in sequences]
             union = frozenset(table for path in paths for table in path.tables)
-            path_id = rng.choice([None, *range(1, len(paths) + 2)])
-            concrete = path_id is not None and path_id <= len(paths)
-            result = LinkResult(
-                sources=(),
-                destinations=(),
-                candidates=CandidateSet(paths, union),
-                chosen_tables=frozenset(paths[path_id - 1].tables) if concrete else union,
-                chosen_path_id=path_id,
-                induced_fk_edges=tuple(keys[:split]),
-                augmented_join_edges=tuple(keys[split:]),
-            )
-            rendered = render_join_path(result)
-            assert rendered == reference_join_path(result), result
-            joined_paths += concrete and rendered.endswith(")") and "no joins" not in rendered
-            joined_unions += not concrete and "joins:" in rendered
+            for path in (*paths, None):
+                chosen = union if path is None else frozenset(path.tables)
+                rendered = render_join_path(schema, graph, chosen, path)
+                expected = reference_join_path(schema, graph, keys, chosen, path)
+                assert rendered == expected, (keys, chosen, path)
+                joined = rendered.endswith(")") and "no joins" not in rendered
+                joined_paths += path is not None and joined
+                joined_unions += path is None and "joins:" in rendered
+            with_both += len(declared) < len(keys) and bool(declared)
         assert joined_paths > 50
         assert joined_unions > 50
+        assert with_both > 50
