@@ -48,8 +48,10 @@ workers_option = click.option(
     default=RunConfig.workers,
     show_default=True,
     type=click.IntRange(min=1),
-    help="Questions run at once on threads with --record. Replay runs one "
-    "question at a time on the calling thread. Rows are written in question order.",
+    help="Questions in flight at once with --record, on threads started once a "
+    "question has waited on the endpoint. Until then, and always in replay, "
+    "questions run one at a time on the calling thread. Rows are written in "
+    "question order.",
 )
 
 

@@ -17,6 +17,7 @@ import json
 import logging
 import re
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -88,7 +89,9 @@ class RunConfig:
     cache_path: Path | None = None
     cache_mode: str = "replay"
     baseline: bool = False
-    workers: int = 4  # threads for record mode; replay runs on the calling thread
+    # Record mode's threads, started once a question waits on the endpoint;
+    # replay always runs on the calling thread.
+    workers: int = 4
 
     def build_client(self) -> CachingClient:
         if self.cache_path is None:
@@ -279,6 +282,10 @@ def _with_usage(row: dict, client: CachingClient, field: str) -> dict:
 
 Item = TypeVar("Item")
 
+# An item whose wall time exceeds its CPU time by this much waited on the
+# endpoint; the rest of the run then goes to ``RunConfig.workers`` threads.
+POOL_AFTER_WAIT_S = 0.010
+
 
 def _run_rows(
     items: dict[str, Item],
@@ -292,11 +299,17 @@ def _run_rows(
 
     An item is done in a file when its latest row there has ``error_field``
     None. ``work(item, pending)`` returns, failures included, a row for each
-    index into out_paths in ``pending``; rows are written in item order and
-    flushed as written. Replay runs on the calling thread, since it is pure
-    computation under the interpreter lock; record mode runs
-    ``config.workers`` threads. The client's cache file is closed on return.
-    Returns each file's outcome and its latest rows, read and written, as
+    index into out_paths in ``pending``; rows are written in item order, each
+    as it comes. Items run one at a time on the calling thread, each timed.
+    Threads only pay off by overlapping waits on the endpoint: the work is
+    Python computation under the interpreter lock, and handing that lock
+    between threads on every request costs CPU that one thread does not
+    pay. So replay never starts threads. Record mode starts
+    ``config.workers`` of them for the items left once an item has waited
+    ``POOL_AFTER_WAIT_S`` (its wall time less the thread's CPU time); a run
+    whose replies are all cached, or come from an in-process backend, stays
+    on one thread. The client's cache file is closed on return. Returns
+    each file's outcome and its latest rows, read and written, as
     ``_latest_rows`` would read them back.
     """
     latest = [_latest_rows(path) for path in out_paths]
@@ -305,14 +318,30 @@ def _run_rows(
     todo = [(item, pending) for item, pending in todo if pending]
     workers = 1 if client.mode is CacheMode.REPLAY else config.workers
     written: list[list[dict]] = [[] for _ in out_paths]
+
+    def run(job: tuple[Item, list[int]]) -> list[tuple[int, dict]]:
+        return list(zip(job[1], work(*job)))
+
     with ExitStack() as stack:  # unwinds the pool, then the sinks, then the cache
         stack.callback(client.cache.close)
         sinks = [stack.enter_context(JsonlAppender(path)) for path in out_paths]
-        pool = stack.enter_context(ThreadPoolExecutor(workers)) if workers > 1 else None
-        for pairs in (pool.map if pool else map)(lambda job: zip(job[1], work(*job)), todo):
+
+        def keep(pairs: list[tuple[int, dict]]) -> None:
             for i, row in pairs:
                 sinks[i].write(row)
                 written[i].append(row)
+
+        jobs = iter(todo)
+        for job in jobs:
+            wall, cpu = time.perf_counter(), time.thread_time()
+            pairs = run(job)
+            waited = time.perf_counter() - wall - (time.thread_time() - cpu)
+            keep(pairs)
+            if workers > 1 and waited >= POOL_AFTER_WAIT_S:
+                pool = stack.enter_context(ThreadPoolExecutor(workers))
+                for pairs in pool.map(run, jobs):  # submits every job left
+                    keep(pairs)
+                break
     outcomes = []
     for path, rows, new in zip(out_paths, latest, written):
         failed = sum(row.get(error_field) is not None for row in new)

@@ -74,16 +74,18 @@ def _last_line_start(sink: BinaryIO, end: int) -> int:
 
 
 class JsonlAppender:
-    """Appends one flushed JSON record per line to path; close it, or use ``with``.
+    """Appends one JSON record per line to path; close it, or use ``with``.
 
     Opening makes the parent directory and, before anything is appended,
     cuts a torn final line off the file, or ends a complete one that lacks
-    its newline.
+    its newline. The file is unbuffered, so each line reaches the OS as it
+    is written, and a write that fails part-way is cut back off.
     """
 
     def __init__(self, path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._sink = sink = path.open("a+b")  # every write appends; the tail can still be cut
+        # Every write appends; the tail can still be cut.
+        self._sink = sink = path.open("a+b", buffering=0)
         end = sink.seek(0, 2)
         sink.seek(max(end - 1, 0))
         if end and sink.read(1) != b"\n":
@@ -98,9 +100,15 @@ class JsonlAppender:
                 sink.write(b"\n")
 
     def write(self, record: dict) -> None:
-        line = json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
-        self._sink.write(line.encode("ascii"))
-        self._sink.flush()
+        """Append record as one line; an ``OSError`` part-way leaves the file as it was."""
+        line = (json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n").encode("ascii")
+        start = self._sink.seek(0, 2)
+        try:
+            while line:  # a raw write may take only part of the line
+                line = line[self._sink.write(line) :]
+        except OSError:  # a full disk, say: no later line may land after half of this one
+            self._sink.truncate(start)
+            raise
 
     def close(self) -> None:
         self._sink.close()

@@ -423,10 +423,10 @@ class TranscriptCache:
         with self._lock:
             if digest in self._entries:
                 return
-            self._entries[digest] = reply
             if self._appender is None:
                 self._appender = JsonlAppender(self.path)
             self._appender.write(record)
+            self._entries[digest] = reply  # only once its line is written
 
     def close(self) -> None:
         with self._lock:

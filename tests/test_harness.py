@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,7 +46,9 @@ from reference_render import reference_render, wide_schema
 from toy_corpus import (
     CORPUS,
     DB_ID,
+    FIRST_REPLY_S,
     ScriptedBackend,
+    SlowStartBackend,
     build_database,
     corpus_row_by_question,
     write_corpus,
@@ -714,6 +717,16 @@ def as_set(rows: list[dict]) -> set[str]:
     return {json.dumps(row, sort_keys=True) for row in rows}
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Makes building a thread pool in the harness fail the run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the harness built a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", refuse)
+
+
 class TestRowRunner:
     def test_replay_runs_on_the_calling_thread(
         self, golden_pipeline, questions, repo, tmp_path, monkeypatch
@@ -735,28 +748,104 @@ class TestRowRunner:
         assert [row["question_id"] for row in read_rows(generated.path)] == order
 
     def test_record_overlaps_requests(self, golden_pipeline, questions, repo, tmp_path):
-        class Overlapping(ScriptedBackend):
-            """Holds its first two requests until both are in flight."""
+        class Overlapping(SlowStartBackend):
+            """Holds the first two requests of other threads until both are in flight."""
 
             def __init__(self):
                 super().__init__()
-                self.arrivals = itertools.count()
+                self.caller = threading.get_ident()
+                self.held = itertools.count()
                 self.both_in_flight = threading.Barrier(2, timeout=10)
 
             def complete(self, request):
-                if next(self.arrivals) < 2:
+                if threading.get_ident() != self.caller and next(self.held) < 2:
                     self.both_in_flight.wait()
                 return super().complete(request)
 
         cache_path = tmp_path / "cache.jsonl"
-        client = CachingClient(TranscriptCache(cache_path), backend=Overlapping(), mode="record")
+        backend = Overlapping()
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
         config = RunConfig(mode="mode7", cache_path=cache_path, cache_mode="record", workers=4)
         link_path = tmp_path / "link.jsonl"
         linked = run_linking(questions, config, repo, link_path, client=client)
         generated = run_generation(link_path, config, client=client)
         assert (linked.failed, generated.failed) == (0, 0)
+        assert next(backend.held) > 2  # both held requests got through
         assert as_set(read_rows(link_path)) == as_set(read_rows(golden_pipeline.link_path))
         assert as_set(read_rows(generated.path)) == as_set(read_rows(golden_pipeline.gen_path))
+
+    def test_record_without_waits_runs_on_the_calling_thread(
+        self, questions, repo, tmp_path, no_pool
+    ):
+        cache_path = tmp_path / "cache.jsonl"
+        backend = ScriptedBackend()
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record", workers=4)
+        threads = threading.active_count()
+        link_path = tmp_path / "link.jsonl"
+        linked = run_linking(questions, config, repo, link_path, client=client)
+        generated = run_generation(link_path, config, client=client)
+        run_sweep(questions, config, repo, tmp_path / "sweep", client=client)
+        assert (linked.failed, generated.failed) == (0, 0)
+        assert client.backend_calls > client.cache_hits > 0
+        assert backend.threads == {threading.get_ident()}
+        assert threading.active_count() == threads
+
+    def test_record_after_a_wait_overlaps_the_rest_in_question_order(
+        self, questions, repo, tmp_path
+    ):
+        workers = 4
+
+        class Gathering(SlowStartBackend):
+            """Holds the first requests of other threads until one per worker is in flight."""
+
+            def __init__(self):
+                super().__init__()
+                self.caller = threading.get_ident()
+                self.held = itertools.count()
+                self.all_in_flight = threading.Barrier(workers, timeout=10)
+                self.asked_by_caller: set[str] = set()
+
+            def complete(self, request):
+                if threading.get_ident() == self.caller:
+                    self.asked_by_caller.add(self._question_from(request.user_text))
+                elif next(self.held) < workers:
+                    self.all_in_flight.wait()
+                return super().complete(request)
+
+        cache_path = tmp_path / "cache.jsonl"
+        backend = Gathering()
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(
+            mode="mode4", cache_path=cache_path, cache_mode="record", workers=workers
+        )
+        order = list(reversed(questions))
+        link_path = tmp_path / "link.jsonl"
+        linked = run_linking(order, config, repo, link_path, client=client)
+        assert linked.failed == 0
+        assert next(backend.held) > workers  # every held request got through
+        assert backend.asked_by_caller == {order[0].text}
+        assert len(backend.threads) == workers + 1
+        rows = read_rows(link_path)
+        assert [row["question_id"] for row in rows] == [question.question_id for question in order]
+
+    def test_replay_stays_on_the_calling_thread_after_a_wait(
+        self, golden_pipeline, questions, repo, tmp_path, monkeypatch, no_pool
+    ):
+        client = replay_client(golden_pipeline.cache_path)
+        real_complete, calls = client.complete, itertools.count()
+
+        def slow_first(request):
+            if next(calls) == 0:
+                time.sleep(FIRST_REPLY_S)
+            return real_complete(request)
+
+        monkeypatch.setattr(client, "complete", slow_first)
+        config = RunConfig(mode="mode7", cache_path=golden_pipeline.cache_path, workers=4)
+        linked = run_linking(questions, config, repo, tmp_path / "link.jsonl", client=client)
+        assert linked.failed == 0
+        assert next(calls) > 1
+        assert read_rows(tmp_path / "link.jsonl") == read_rows(golden_pipeline.link_path)
 
     def test_record_digests_each_request_once_and_opens_the_cache_once_per_run(
         self, questions, repo, tmp_path, monkeypatch
@@ -874,12 +963,13 @@ class TestRequestDigestMemo:
     def test_record_workers_store_the_one_pass_digest(self, two_shops, tmp_path):
         repo, questions = two_shops
         cache_path = tmp_path / "cache.jsonl"
-        backend = ScriptedBackend()
+        backend = SlowStartBackend()
         client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
         config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record", workers=4)
         linked = run_linking(questions, config, repo, tmp_path / "link.jsonl", client=client)
         generated = run_generation(tmp_path / "link.jsonl", config, client=client)
         assert (linked.failed, generated.failed) == (0, 0)
+        assert len(backend.threads) > 1
         records = read_rows(cache_path)
         assert len(records) == client.backend_calls
         assert {"Database: shop_a", "Database: shop_b"} <= {
@@ -926,8 +1016,10 @@ def usage_endpoint():
     the replies per tag. Question FAILING_QUESTION gets an unusable
     endpoint reply, and its retry is refused with HTTP 400, so its row
     fails after spending one unit. Question NO_SQL_QUESTION gets a
-    generation reply without SQL. The first ``hold`` requests wait until
-    all of them are in flight.
+    generation reply without SQL. With ``hold`` set, the first request
+    waits ``FIRST_REPLY_S``, so a record run starts its threads after that
+    question; then the first ``hold`` requests of other questions wait
+    until all of them are in flight, and ``overlapped`` lists their tags.
     """
     servers = []
 
@@ -938,17 +1030,22 @@ def usage_endpoint():
         )
         spent = Counter()
         lock = threading.Lock()
-        arrivals = itertools.count()
+        arrivals, holds = itertools.count(), itertools.count()
         held = threading.Barrier(max(hold, 1), timeout=10)
+        first, overlapped = [], []  # the first request's tag; the held requests' tags
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 system, user = (message["content"] for message in body["messages"])
-                if next(arrivals) < hold:
-                    held.wait()
                 question = re.search(r"^Question: (.*)$", user, re.MULTILINE).group(1)
                 tag = f"q{corpus_row_by_question(question)['question_id']}"
+                if hold and next(arrivals) == 0:  # its question runs alone
+                    first.append(tag)
+                    time.sleep(FIRST_REPLY_S)
+                elif hold and tag not in first and next(holds) < hold:
+                    held.wait()
+                    overlapped.append(tag)
                 if RETRY_NUDGE in user:
                     status, payload = 400, {"error": "refused"}
                 else:
@@ -977,7 +1074,7 @@ def usage_endpoint():
             target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         ).start()
         url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        return SimpleNamespace(url=url, spent=spent)
+        return SimpleNamespace(url=url, spent=spent, overlapped=overlapped)
 
     yield start
     for server in servers:
@@ -1008,6 +1105,7 @@ class TestTokenUsage:
             sys.setswitchinterval(interval)
         rows = read_rows(tmp_path / "link.jsonl")
         assert outcome.failed == 1
+        assert len(endpoint.overlapped) == hold
         assert [row["question_id"] for row in rows if row["error"]] == [str(FAILING_QUESTION)]
         tags = {question.question_id: f"q{question.question_id}" for question in questions}
         assert {row["question_id"]: row.get("token_usage") for row in rows} == {
@@ -1032,6 +1130,7 @@ class TestTokenUsage:
         outcome = run_generation(link_path, config)
         rows = read_rows(outcome.path)
         assert outcome.failed == 2
+        assert len(endpoint.overlapped) == hold
         # The link stage's tokens stay in the link file.
         assert all("token_usage" in row for row in read_rows(link_path))
         assert not any("token_usage" in row for row in rows)
@@ -1065,6 +1164,7 @@ class TestTokenUsage:
             run_sweep(questions, config, repo, tmp_path / "sweep")
         finally:
             sys.setswitchinterval(interval)
+        assert len(endpoint.overlapped) == hold
         # The first mode's row holds the endpoint request; a later row holds
         # only a selector request that no earlier mode of its question sent.
         asked = {question.question_id: set() for question in questions}

@@ -8,12 +8,17 @@ killed run is resumed with a fresh client on the same transcript cache. Its
 reports must match the unbroken run's byte for byte, and its backend must be
 asked for exactly the requests whose replies the killed run left out of the
 cache file. Every file the two runs wrote must then read back whole.
+
+The backend's first reply is slow, as a real endpoint's is, so the sweep's
+two workers start after its first question, and some of its kills land on
+writes made by pool threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,7 +28,7 @@ from schema_linker.errors import CacheMissError
 from schema_linker.jsonl import JsonlAppender, read_jsonl
 from schema_linker.llm import request_digest
 
-from toy_corpus import ScriptedBackend
+from toy_corpus import ScriptedBackend, SlowStartBackend
 
 REPORTS = ("summary.json", "per_question.csv", "grid.csv", "grid.json")
 
@@ -53,8 +58,9 @@ def link_and_generate(questions, repo, work: Path, client: CachingClient) -> Pat
     return report_dir
 
 
-def recorded(work: Path) -> tuple[ScriptedBackend, CachingClient]:
-    backend = ScriptedBackend()
+def recorded(work: Path, run) -> tuple[ScriptedBackend, CachingClient]:
+    """A record client on work's cache; the sweep's backend starts slow, so its pool starts."""
+    backend = SlowStartBackend() if run is sweep else ScriptedBackend()
     cache = TranscriptCache(work / "cache.jsonl")
     return backend, CachingClient(cache, backend=backend, mode="record")
 
@@ -73,11 +79,12 @@ def cached_digests(work: Path) -> set[str]:
     return {record["digest"] for record in lines}
 
 
-def killing_write(kill_at: int, torn: bool):
+def killing_write(kill_at: int, torn: bool, killers: set[int]):
     """A ``JsonlAppender.write`` that raises Killed from its ``kill_at``-th call (from 0) on.
 
     Later calls write nothing either: the other worker thread of a dead
-    process never reaches the disk.
+    process never reaches the disk. The ident of the thread making the
+    ``kill_at``-th call goes into ``killers``.
     """
     real_write = JsonlAppender.write
     calls = itertools.count()
@@ -86,6 +93,8 @@ def killing_write(kill_at: int, torn: bool):
         call = next(calls)
         if call < kill_at:
             return real_write(self, record)
+        if call == kill_at:
+            killers.add(threading.get_ident())
         if torn and call == kill_at:
             line = (json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n").encode("ascii")
             self._sink.write(line[: len(line) // 2])
@@ -110,7 +119,7 @@ def test_a_run_killed_at_any_write_resumes_to_the_same_reports(
 
     with monkeypatch.context() as patch:
         patch.setattr(JsonlAppender, "write", counting_write)
-        expected = reports(run(questions, repo, unbroken, recorded(unbroken)[1]))
+        expected = reports(run(questions, repo, unbroken, recorded(unbroken, run)[1]))
     total = next(writes)
     every_request = cached_digests(unbroken)
     assert total > len(every_request) > len(questions)
@@ -118,14 +127,15 @@ def test_a_run_killed_at_any_write_resumes_to_the_same_reports(
         REPORTS if run is sweep else REPORTS[:2]
     )
 
+    killers: set[int] = set()
     for kill_at in range(total):
         work = tmp_path / str(kill_at)
         with monkeypatch.context() as patch:
-            patch.setattr(JsonlAppender, "write", killing_write(kill_at, torn))
+            patch.setattr(JsonlAppender, "write", killing_write(kill_at, torn, killers))
             with pytest.raises(Killed):
-                run(questions, repo, work, recorded(work)[1])
+                run(questions, repo, work, recorded(work, run)[1])
         missing = every_request - cached_digests(work)
-        backend, client = recorded(work)
+        backend, client = recorded(work, run)
         assert reports(run(questions, repo, work, client)) == expected, kill_at
         asked = [request_digest(request) for request in backend.requests]
         assert sorted(asked) == sorted(missing), kill_at
@@ -133,3 +143,5 @@ def test_a_run_killed_at_any_write_resumes_to_the_same_reports(
         for path in work.rglob("*.jsonl"):  # no torn line is left inside, or at the end
             text = path.read_bytes()
             assert text.endswith(b"\n") and all(map(json.loads, text.splitlines())), path
+    pool_kills = killers - {threading.get_ident()}
+    assert bool(pool_kills) is (run is sweep)

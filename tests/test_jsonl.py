@@ -1,5 +1,6 @@
 """Reading and repairing JSON-lines files without holding them whole."""
 
+import errno
 import gc
 import json
 import re
@@ -105,3 +106,45 @@ def test_a_tail_across_blocks_is_kept_ended_or_cut(tmp_path, lines_before, tail_
     path.write_text(head + (tail[:-2] if ending == "torn" else tail + ending), encoding="utf-8")
     JsonlAppender(path).close()
     assert path.read_text(encoding="utf-8") == head + kept.format(tail=tail)
+
+
+class HalfWrites:
+    """A file whose writes put half their bytes on disk and then fail, as a full disk does."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, data):
+        self.sink.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.sink, name)
+
+
+class ShortWrites(HalfWrites):
+    """A file whose writes take at most 5 bytes each, as a raw write may."""
+
+    def write(self, data):
+        return self.sink.write(data[:5])
+
+
+def test_a_write_that_fails_part_way_is_cut_back_off(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    with JsonlAppender(path) as appender:
+        appender.write({"question_id": "1"})
+        sink, appender._sink = appender._sink, HalfWrites(appender._sink)
+        with pytest.raises(OSError):
+            appender.write({"question_id": "lost", "text": "x" * ROW_CHARS})
+        appender._sink = sink
+        appender.write({"question_id": "2"})
+    assert [row["question_id"] for row in read_rows(path)] == ["1", "2"]
+
+
+def test_a_short_write_is_finished(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    with JsonlAppender(path) as appender:
+        appender._sink = ShortWrites(appender._sink)
+        appender.write({"question_id": "1", "text": "x" * 20})
+        appender.write({"question_id": "2"})
+    assert [row["question_id"] for row in read_rows(path)] == ["1", "2"]

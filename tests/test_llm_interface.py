@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -21,6 +22,7 @@ from schema_linker.errors import (
     OutOfRangeError,
     ReplyParseError,
 )
+from schema_linker.jsonl import JsonlAppender
 from schema_linker.llm import (
     DEFAULT_TEMPERATURES,
     RETRY_NUDGE,
@@ -451,6 +453,21 @@ class TestTranscriptCache:
         lines = path.read_text(encoding="utf-8").splitlines(True)
         assert [json.loads(line)["reply"] for line in lines] == ["one", "two"]
         assert all(line.endswith("\n") for line in lines)
+
+    def test_a_failed_put_stores_nothing(self, tmp_path, monkeypatch):
+        def full_disk(appender, record):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cache = TranscriptCache(tmp_path / "cache.jsonl")
+        request = req(user="lost")
+        with monkeypatch.context() as patch:
+            patch.setattr(JsonlAppender, "write", full_disk)
+            with pytest.raises(OSError):
+                cache.put(request_digest(request), request, "never written")
+        assert cache.get(request_digest(request)) is None
+        cache.put(request_digest(request), request, "written")
+        cache.close()
+        assert TranscriptCache(cache.path).get(request_digest(request)) == "written"
 
 
 class CountingBackend:

@@ -8,10 +8,14 @@ deliberately over-selects so exact-match stays below 100%.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sqlite3
+import threading
+import time
 from pathlib import Path
 
+from schema_linker.harness import POOL_AFTER_WAIT_S
 from schema_linker.llm import CompletionRequest, PromptId
 from schema_linker.llm import SYSTEM_PROMPTS
 
@@ -277,6 +281,7 @@ class ScriptedBackend:
         self.sql_overrides = sql_overrides or {}
         self.endpoint_overrides = endpoint_overrides or {}
         self.requests: list[CompletionRequest] = []
+        self.threads: set[int] = set()  # the ident of every thread that sent a request
 
     def _question_from(self, user_text: str) -> str:
         for line in user_text.splitlines():
@@ -286,6 +291,7 @@ class ScriptedBackend:
 
     def complete(self, request: CompletionRequest) -> str:
         self.requests.append(request)
+        self.threads.add(threading.get_ident())
         question = self._question_from(request.user_text)
         row = corpus_row_by_question(question)
         if request.system_text == SYSTEM_PROMPTS[PromptId.SRC_DST]:
@@ -313,3 +319,24 @@ class ScriptedBackend:
         if override is not None:
             return override
         return f"Here is the query:\n```sql\n{row['SQL']}\n```\n"
+
+
+FIRST_REPLY_S = 2 * POOL_AFTER_WAIT_S
+
+
+class SlowStartBackend(ScriptedBackend):
+    """A ScriptedBackend whose first reply waits ``FIRST_REPLY_S``, as a real endpoint's does.
+
+    That wait is longer than the harness allows before it starts its
+    threads, so a record run with more than one worker hands the questions
+    after its first to a pool.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.arrivals = itertools.count()
+
+    def complete(self, request: CompletionRequest) -> str:
+        if next(self.arrivals) == 0:
+            time.sleep(FIRST_REPLY_S)
+        return super().complete(request)
