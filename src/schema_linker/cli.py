@@ -22,7 +22,6 @@ from .harness import (
     run_linking,
     run_sweep,
 )
-from .llm import DEFAULT_MODEL
 from .pathfinder import MODE_LABELS, MODE_PRESETS, canonical_mode_name
 
 
@@ -80,7 +79,7 @@ def main() -> None:
     show_default=True,
     help="Replay answers from the cache, or record novel ones from the live backend.",
 )
-@click.option("--model", default=DEFAULT_MODEL, show_default=True)
+@click.option("--model", default=RunConfig.model, show_default=True)
 @click.option("--temperature", default=RunConfig.link_temperature, show_default=True, type=float)
 @workers_option
 def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temperature, workers):
@@ -112,7 +111,7 @@ def link(dataset, schema_root, mode, out_path, cache_path, replay, model, temper
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--replay/--record", "replay", default=True, show_default=True)
-@click.option("--model", default=DEFAULT_MODEL, show_default=True)
+@click.option("--model", default=RunConfig.model, show_default=True)
 @click.option("--temperature", default=RunConfig.generate_temperature, show_default=True, type=float)
 @click.option(
     "--baseline",
@@ -210,7 +209,7 @@ def evaluate(run_output, dataset, schema_root, check_execution, report_dir):
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--cache", "cache_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--replay/--record", "replay", default=True, show_default=True)
-@click.option("--model", default=DEFAULT_MODEL, show_default=True)
+@click.option("--model", default=RunConfig.model, show_default=True)
 @click.option("--temperature", default=RunConfig.link_temperature, show_default=True, type=float)
 @workers_option
 def sweep(dataset, schema_root, modes, out_dir, cache_path, replay, model, temperature, workers):

@@ -27,14 +27,11 @@ from typing import Callable, Sequence, TypeVar
 from .errors import EmptyInputError, GoldExecutionError, NoSchemasFoundError, ParseError
 from .jsonl import JsonlAppender, read_jsonl
 from .llm import (
-    DEFAULT_MODEL,
-    DEFAULT_TEMPERATURES,
     CacheMode,
     CachingClient,
     HttpCompletionClient,
     LlmEndpointOracle,
     LlmPathOracle,
-    PromptId,
     TranscriptCache,
     render_sql_gen_prompt,
 )
@@ -83,9 +80,9 @@ class Question:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "mode7"
-    model: str = DEFAULT_MODEL
-    link_temperature: float = DEFAULT_TEMPERATURES[PromptId.SRC_DST]
-    generate_temperature: float = DEFAULT_TEMPERATURES[PromptId.SQL_GEN_LINKED]
+    model: str = "google/gemini-2.5-flash-preview"
+    link_temperature: float = 0.2  # endpoint and path-selection requests
+    generate_temperature: float = 0.3  # linked and baseline SQL generation
     cache_path: Path | None = None
     cache_mode: str = "replay"
     baseline: bool = False
@@ -545,7 +542,7 @@ class EvaluationReport:
 
 
 def _question_sort_key(question_id: str) -> tuple:
-    return (0, int(question_id)) if question_id.isdigit() else (1, question_id)
+    return (0, int(question_id)) if question_id.isdecimal() else (1, question_id)
 
 
 def _format_float(value: float) -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -34,28 +35,37 @@ class EndpointKeep(str, Enum):
     ALL = "all"
 
 
-class UnionMode(str, Enum):
-    APPEND_UNION = "append_union"
-    NO_UNION = "no_union"
-    FORCE_UNION = "force_union"
+class Selection(str, Enum):
+    """How the final tables are picked from a candidate set."""
+
+    SELECTOR = "selector"  # the selector picks a path or the union
+    SELECTOR_NO_UNION = "selector_no_union"  # the selector picks a path
+    LONGEST = "longest"  # the longest path, ties broken by name
+    UNION = "union"  # the union of every candidate
 
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    keep_sources: EndpointKeep = EndpointKeep.ALL
-    keep_destinations: EndpointKeep = EndpointKeep.ALL
-    longest: bool = False
-    union_mode: UnionMode = UnionMode.APPEND_UNION
+    keep_sources: EndpointKeep
+    keep_destinations: EndpointKeep
+    selection: Selection
+
+    def kept(self, sources: Sequence[str], destinations: Sequence[str]) -> tuple:
+        """The (sources, destinations) that this config searches between."""
+        return (
+            sources[:1] if self.keep_sources is EndpointKeep.ONE else sources,
+            destinations[:1] if self.keep_destinations is EndpointKeep.ONE else destinations,
+        )
 
 
 MODE_PRESETS: dict[str, LinkerConfig] = {
-    "mode1": LinkerConfig(EndpointKeep.ONE, EndpointKeep.ONE, False, UnionMode.APPEND_UNION),
-    "mode2": LinkerConfig(EndpointKeep.ONE, EndpointKeep.ALL, False, UnionMode.APPEND_UNION),
-    "mode3": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ONE, False, UnionMode.APPEND_UNION),
-    "mode4": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.APPEND_UNION),
-    "mode5": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, True, UnionMode.APPEND_UNION),
-    "mode6": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.NO_UNION),
-    "mode7": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.FORCE_UNION),
+    "mode1": LinkerConfig(EndpointKeep.ONE, EndpointKeep.ONE, Selection.SELECTOR),
+    "mode2": LinkerConfig(EndpointKeep.ONE, EndpointKeep.ALL, Selection.SELECTOR),
+    "mode3": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ONE, Selection.SELECTOR),
+    "mode4": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, Selection.SELECTOR),
+    "mode5": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, Selection.LONGEST),
+    "mode6": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, Selection.SELECTOR_NO_UNION),
+    "mode7": LinkerConfig(EndpointKeep.ALL, EndpointKeep.ALL, Selection.UNION),
 }
 
 MODE_LABELS: dict[str, str] = {
@@ -106,9 +116,6 @@ class JoinPath:
     @property
     def length(self) -> int:
         return len(self.tables) - 1
-
-    def sort_key(self) -> tuple[str, ...]:
-        return self.key
 
 
 @dataclass(frozen=True)
@@ -228,7 +235,7 @@ def _dag_paths(
             continue
         for pred in preds[node]:
             stack.append((pred, (pred,) + tail))
-    paths.sort(key=JoinPath.sort_key)
+    paths.sort(key=attrgetter("key"))
     return tuple(paths)
 
 
@@ -266,12 +273,9 @@ def build_candidates(
     enumerated paths, each holding its join conditions, are kept in
     ``graph.path_cache``. A pair of a capped set stores nothing there.
     """
-    src_list = _dedupe_keep_order(sources)
-    dst_list = _dedupe_keep_order(destinations)
-    if config.keep_sources is EndpointKeep.ONE:
-        src_list = src_list[:1]
-    if config.keep_destinations is EndpointKeep.ONE:
-        dst_list = dst_list[:1]
+    src_list, dst_list = config.kept(
+        _dedupe_keep_order(sources), _dedupe_keep_order(destinations)
+    )
     if not src_list:
         raise EmptyEndpointsError("no source tables to search from")
     if not dst_list:
@@ -322,7 +326,7 @@ def build_candidates(
             # record-mode threads may race here; the first equal value wins
             found = cache.setdefault(key, found)
             collected.update((path.tables, path) for path in found)
-        paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
+        paths = tuple(sorted(collected.values(), key=attrgetter("key")))
         union = (table for path in paths for table in path.tables)
     if diagnostics:
         # Exactly when a pair has no join path: when all are joined, any two
@@ -361,25 +365,25 @@ PathSelector = Callable[[list[str]], int]
 
 
 def select_path(
-    candidates: CandidateSet,
-    config: LinkerConfig,
-    selector: PathSelector | None = None,
+    candidates: CandidateSet, config: LinkerConfig, selector: PathSelector
 ) -> PathSelection:
-    """Pick the final table set from a candidate set.
+    """Pick the final table set from a candidate set by ``config.selection``.
 
-    Selection order: a capped set (no paths, a union) gives its union, then
-    forced union, then the deterministic longest-path rule, then a sole
-    candidate wins outright, and only then is the selector consulted. An
-    unusable selector verdict falls back to the union so a question never
-    dies on a malformed reply.
+    A capped set (no paths, a union) gives its union under every rule.
+    Otherwise ``UNION`` gives the union and ``LONGEST`` the longest path,
+    ties broken by name. Under the two selector rules a sole candidate wins
+    outright, and only then is the selector shown the numbered paths, plus
+    the union as a last line under ``SELECTOR``. An unusable selector
+    verdict falls back to the union so a question never dies on a
+    malformed reply.
     """
     if not candidates.paths:
         if not candidates.union_tables:
             raise ValueError("candidate set is empty")
         return PathSelection(candidates.union_tables, None, "capped_union")
-    if config.union_mode is UnionMode.FORCE_UNION:
+    if config.selection is Selection.UNION:
         return PathSelection(candidates.union_tables, None, "forced_union")
-    if config.longest:
+    if config.selection is Selection.LONGEST:
         index = min(
             range(len(candidates.paths)),
             key=lambda i: (-candidates.paths[i].length, candidates.paths[i].key),
@@ -390,15 +394,8 @@ def select_path(
     if len(candidates.paths) == 1:
         return PathSelection(frozenset(candidates.paths[0].tables), 1, "sole_candidate")
 
-    include_union = config.union_mode is UnionMode.APPEND_UNION
+    include_union = config.selection is Selection.SELECTOR
     lines = render_candidate_lines(candidates, include_union)
-    if selector is None:
-        return PathSelection(
-            candidates.union_tables,
-            None,
-            "fallback_union",
-            ("no path selector configured; returned the union",),
-        )
     try:
         picked = selector(lines)
     except (ReplyParseError, OutOfRangeError) as exc:
@@ -429,24 +426,24 @@ def link(
     schema: Schema,
     graph: SchemaGraph,
     endpoints: EndpointOracle,
-    path_oracle: PathOracle | None = None,
+    path_oracle: PathOracle,
     evidence: str | None = None,
 ) -> Callable[[LinkerConfig], LinkResult]:
     """Link one question; the returned function gives its result under a config.
 
     ``endpoints`` nominates source and destination tables once; when it
-    raises, every config raises that error. ``path_oracle`` resolves ties
-    between candidates. A degraded extraction links every config to the whole
-    schema under rule ``degraded_union``, with no search and no selector
-    call. Otherwise, for this question only, candidate sets are kept by the
-    nominated (sources, destinations) that a config keeps, and results by
-    those and ``longest`` and ``union_mode``: configs with one such plan
-    share one result object.
+    raises, every config raises that error. ``path_oracle`` picks among
+    candidates under the two selector rules. A degraded extraction links
+    every config to the whole schema under rule ``degraded_union``, with no
+    search and no selector call. Otherwise, for this question only,
+    candidate sets are kept by the nominated (sources, destinations) that a
+    config keeps, and results by those and ``selection``: configs with one
+    such plan share one result object.
     """
     extraction = None
     candidate_sets: dict[tuple, CandidateSet] = {}
     results: dict[tuple, LinkResult] = {}
-    selector = None if path_oracle is None else partial(path_oracle, question)
+    selector = partial(path_oracle, question)
 
     def link_config(config: LinkerConfig) -> LinkResult:
         nonlocal extraction
@@ -459,11 +456,8 @@ def link(
             raise extraction
         sources, destinations = tuple(extraction.sources), tuple(extraction.destinations)
         degraded = bool(getattr(extraction, "degraded", False))
-        kept = (
-            sources[:1] if config.keep_sources is EndpointKeep.ONE else sources,
-            destinations[:1] if config.keep_destinations is EndpointKeep.ONE else destinations,
-        )
-        plan = None if degraded else (kept, config.longest, config.union_mode)
+        kept = config.kept(sources, destinations)
+        plan = None if degraded else (kept, config.selection)
         if plan in results:
             return results[plan]
         if degraded:

@@ -487,20 +487,21 @@ def schema_from_document(doc, source: str = "<document>") -> Schema:
         name = _expect_str_field(item, "name", context)
         raw_columns = _expect(item.get("columns", []), list, f"{context}.columns")
         columns = []
-        for j, raw_col in enumerate(raw_columns):
-            col_context = f"{context}.columns[{j}]"
-            _expect(raw_col, dict, col_context)
-            columns.append(
-                ColumnDef(
-                    name=_expect_str_field(raw_col, "name", col_context),
-                    declared_type=str(raw_col.get("type") or ""),
-                    is_primary_key=bool(raw_col.get("primary_key", False)),
-                )
-            )
         try:
+            for j, raw_col in enumerate(raw_columns):
+                where = f"{context}.columns[{j}]"
+                _expect(raw_col, dict, where)
+                columns.append(
+                    ColumnDef(
+                        name=_expect_str_field(raw_col, "name", where),
+                        declared_type=str(raw_col.get("type") or ""),
+                        is_primary_key=bool(raw_col.get("primary_key", False)),
+                    )
+                )
+            where = context
             tables.append(TableDef(name=name, columns=tuple(columns)))
         except ValueError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
+            raise ParseError(f"{where}: {exc}") from exc
     raw_fks = _expect(doc.get("foreign_keys", []), list, f"{source}: field 'foreign_keys'")
     foreign_keys = []
     for i, item in enumerate(raw_fks):

@@ -38,7 +38,7 @@ from schema_linker.llm import (
     PromptId,
     render_sql_gen_prompt,
 )
-from schema_linker.pathfinder import UnionMode
+from schema_linker.pathfinder import Selection
 from schema_linker.schema_model import Schema, SchemaGraph
 
 from conftest import ALL_MODES, read_rows, reference_digest
@@ -183,6 +183,27 @@ class TestSchemaRepository:
     def test_caching_returns_same_objects(self, repo):
         assert repo.schema(DB_ID) is repo.schema(DB_ID)
         assert repo.graph(DB_ID) is repo.graph(DB_ID)
+
+    def test_blank_column_name_is_a_parse_error_in_the_link_row(self, tmp_path):
+        document = tmp_path / "schemas" / DB_ID / "schema.json"
+        document.parent.mkdir(parents=True)
+        columns = [{"name": "x"}, {"name": "  "}]
+        document.write_text(
+            json.dumps({"db_id": DB_ID, "tables": [{"name": "t", "columns": columns}]}),
+            encoding="utf-8",
+        )
+        config = RunConfig(cache_path=tmp_path / "cache.jsonl")
+        out = tmp_path / "link.jsonl"
+        question = Question(question_id="1", db_id=DB_ID, text="q")
+        run_linking(
+            [question], config, SchemaRepository(tmp_path / "schemas"), out,
+            client=replay_client(config.cache_path),
+        )  # fmt: skip
+        (row,) = read_rows(out)
+        assert row["error"] == {
+            "code": "PARSE_ERROR",
+            "message": f"{document}: tables[0].columns[1]: column name must be non-empty",
+        }
 
 
 class TestRunLinking:
@@ -516,6 +537,30 @@ class TestRunGeneration:
             for row in old_rows
         ]
         assert backend.requests == expected
+
+    def test_default_config_temperatures(self, questions, repo, tmp_path):
+        backend = ScriptedBackend()
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(TranscriptCache(cache_path), backend=backend, mode="record")
+        config = RunConfig(mode="mode4", cache_path=cache_path, cache_mode="record")
+        link_path = tmp_path / "link.jsonl"
+        run_linking(questions, config, repo, link_path, client=client)
+        linked = len(backend.requests)
+        run_generation(link_path, config, client=client)
+        generated = len(backend.requests)
+        baseline = replace(config, baseline=True)
+        run_generation(link_path, baseline, client=client, out_path=tmp_path / "b.jsonl", repo=repo)
+        link_requests = backend.requests[:linked]
+        assert {r.system_text for r in link_requests} == {
+            SYSTEM_PROMPTS[PromptId.SRC_DST],
+            SYSTEM_PROMPTS[PromptId.PATH_SELECT],
+        }
+        assert {r.temperature for r in link_requests} == {0.2}
+        linked_sql, baseline_sql = backend.requests[linked:generated], backend.requests[generated:]
+        assert len(linked_sql) == len(baseline_sql) == 10
+        assert all("- Join Path: " in r.system_text for r in linked_sql)
+        assert not any("Join Path" in r.system_text for r in baseline_sql)
+        assert {r.temperature for r in linked_sql + baseline_sql} == {0.3}
 
     def test_baseline_needs_the_repository(self, golden_pipeline, tmp_path):
         config = RunConfig(cache_path=tmp_path / "c.jsonl", baseline=True, workers=1)
@@ -1171,12 +1216,12 @@ class TestTokenUsage:
         total, repeats = Counter(), 0
         for mode in ALL_MODES:
             settings = pathfinder.preset(mode)
-            asks = not settings.longest and settings.union_mode is not UnionMode.FORCE_UNION
+            asks = settings.selection in (Selection.SELECTOR, Selection.SELECTOR_NO_UNION)
             for row in read_rows(tmp_path / "sweep" / f"link_{mode}.jsonl"):
                 question_id = row["question_id"]
                 spent = mode == ALL_MODES[0]
                 if asks and not row["error"] and len(row["paths"]) > 1:
-                    prompt = (str(row["paths"]), settings.union_mode)
+                    prompt = (str(row["paths"]), settings.selection)
                     spent += prompt not in asked[question_id]
                     repeats += prompt in asked[question_id]
                     asked[question_id].add(prompt)
@@ -1415,6 +1460,27 @@ class TestRunEvaluation:
         assert q3[0] == "3"
         assert q3[4] == "customers|order_items|orders|products|reviews"
         assert q3[9] == "false"
+
+    def test_digit_like_ids_sort_after_decimal_ones(
+        self, golden_pipeline, questions, repo, tmp_path
+    ):
+        # "²" passes str.isdigit, yet int() rejects it.
+        rows = {row["question_id"]: row for row in read_rows(golden_pipeline.link_path)}
+        renamed = {"1": "²", "2": "10", "3": "2"}
+        relabelled = [
+            replace(question, question_id=renamed[question.question_id])
+            for question in questions
+            if question.question_id in renamed
+        ]
+        report = run_evaluation(
+            {new: dict(rows[old], question_id=new) for old, new in renamed.items()},
+            relabelled,
+            repo,
+            report_dir=tmp_path,
+        )
+        lines = report.per_question_path.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "10", "²"]
+        assert report.summary["rows_evaluated"] == 3
 
     def test_reports_are_byte_stable(self, golden_pipeline, questions, repo, tmp_path):
         first = run_evaluation(

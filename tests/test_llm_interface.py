@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import schema_linker.llm
-from schema_linker import CachingClient, HttpCompletionClient, TranscriptCache
+from schema_linker import CachingClient, HttpCompletionClient, RunConfig, TranscriptCache
 from schema_linker.errors import (
     BackendError,
     CacheMissError,
@@ -24,7 +24,6 @@ from schema_linker.errors import (
 )
 from schema_linker.jsonl import JsonlAppender
 from schema_linker.llm import (
-    DEFAULT_TEMPERATURES,
     RETRY_NUDGE,
     SYSTEM_PROMPTS,
     CompletionRequest,
@@ -45,6 +44,10 @@ from schema_linker.sql_analysis import render_schema
 
 from conftest import read_rows, reference_digest
 from reference_render import wide_schema
+
+RUN = RunConfig()
+LINK = {"model_name": RUN.model, "temperature": RUN.link_temperature}
+GENERATE = {"model_name": RUN.model, "temperature": RUN.generate_temperature}
 
 
 def req(model="m", system="s", user="u", temperature=0.2):
@@ -100,10 +103,10 @@ def rendered_requests(schema, questions):
     for text in questions:
         for question in (text, f"Question: {text}", f"{text}\r\nQuestion: again?\r"):
             for evidence in (None, "Question: x\r\nEvidence: y", "\r"):
-                request = render_src_dst_prompt(question, schema, evidence)
+                request = render_src_dst_prompt(question, schema, evidence, **LINK)
                 yield request
                 yield replace(request, user_text=request.user_text + "\n\n" + RETRY_NUDGE)
-                yield render_path_select_prompt(question, lines)
+                yield render_path_select_prompt(question, lines, **LINK)
                 for baseline in (False, True):
                     yield render_sql_gen_prompt(
                         question,
@@ -111,6 +114,7 @@ def rendered_requests(schema, questions):
                         join_path_text=lines[0],
                         evidence=evidence,
                         baseline=baseline,
+                        **GENERATE,
                     )
 
 
@@ -156,9 +160,8 @@ class TestDigestMatchesReference:
 
 class TestPromptRendering:
     def test_src_dst_user_text(self, retail_schema):
-        request = render_src_dst_prompt("Who ordered?", retail_schema)
+        request = render_src_dst_prompt("Who ordered?", retail_schema, **LINK)
         assert request.system_text == SYSTEM_PROMPTS[PromptId.SRC_DST]
-        assert request.temperature == DEFAULT_TEMPERATURES[PromptId.SRC_DST]
         assert request.user_text == (
             "Database: retail\n\nSchema:\n"
             + render_schema(retail_schema)
@@ -167,7 +170,7 @@ class TestPromptRendering:
 
     def test_src_dst_evidence_appended(self, retail_schema):
         request = render_src_dst_prompt(
-            "Who?", retail_schema, evidence="dates are ISO strings"
+            "Who?", retail_schema, evidence="dates are ISO strings", **LINK
         )
         assert request.user_text.endswith(
             "Question: Who?\nEvidence: dates are ISO strings"
@@ -175,7 +178,7 @@ class TestPromptRendering:
 
     def test_path_select_user_text(self):
         request = render_path_select_prompt(
-            "Which?", ["path_id=1: a -> b", "path_id=2: UNION {a, b}"]
+            "Which?", ["path_id=1: a -> b", "path_id=2: UNION {a, b}"], **LINK
         )
         assert request.system_text == SYSTEM_PROMPTS[PromptId.PATH_SELECT]
         assert request.user_text == (
@@ -189,6 +192,7 @@ class TestPromptRendering:
             "CREATE TABLE t (x);",
             join_path_text="a -> b (a.x = b.x)",
             evidence="x is a count",
+            **GENERATE,
         )
         assert "{schema}" not in request.system_text
         assert "{join_path_string}" not in request.system_text
@@ -197,21 +201,20 @@ class TestPromptRendering:
         assert "a -> b (a.x = b.x)" in request.system_text
         assert "x is a count" in request.system_text
         assert request.user_text == "Question: How many?"
-        assert request.temperature == 0.3
 
     def test_sql_gen_defaults(self):
-        request = render_sql_gen_prompt("q", "SCHEMA")
+        request = render_sql_gen_prompt("q", "SCHEMA", **GENERATE)
         assert "- Join Path: (single table, no joins)" in request.system_text
         assert "- Question Context: (none)" in request.system_text
 
     def test_sql_gen_baseline_has_no_join_path(self):
-        request = render_sql_gen_prompt("q", "SCHEMA", baseline=True)
+        request = render_sql_gen_prompt("q", "SCHEMA", baseline=True, **GENERATE)
         assert "Join Path" not in request.system_text
         assert "SCHEMA" in request.system_text
 
     def test_schema_braces_survive_filling(self):
         # str.format would raise on stray braces in schema text
-        request = render_sql_gen_prompt("q", 'CREATE TABLE "{weird}" (x);')
+        request = render_sql_gen_prompt("q", 'CREATE TABLE "{weird}" (x);', **GENERATE)
         assert '"{weird}"' in request.system_text
 
     def test_placeholders_inside_inserted_text_stay_literal(self):
@@ -220,15 +223,16 @@ class TestPromptRendering:
             "CREATE TABLE t (x)",
             join_path_text="t (no joins required)",
             evidence="literal {join_path_string} here",
+            **GENERATE,
         )
         assert "- Question Context: literal {join_path_string} here\n" in request.system_text
         request = render_sql_gen_prompt(
-            "q", 'CREATE TABLE "{evidence_string}" (x)', evidence="e", baseline=True
+            "q", 'CREATE TABLE "{evidence_string}" (x)', evidence="e", baseline=True, **GENERATE
         )
         assert 'CREATE TABLE "{evidence_string}" (x)\n' in request.system_text
         assert "- Question Context: e\n" in request.system_text
         # The baseline template has no join path, so the value is never read.
-        request = render_sql_gen_prompt("q", "{join_path_string}", baseline=True)
+        request = render_sql_gen_prompt("q", "{join_path_string}", baseline=True, **GENERATE)
         assert "\n{join_path_string}\n" in request.system_text
 
 
@@ -535,13 +539,13 @@ class ScriptedClient:
 class TestEndpointOracle:
     def test_clean_reply_needs_one_call(self, retail_schema):
         client = ScriptedClient("src=orders, dst=customers")
-        extraction = LlmEndpointOracle(client)("q", retail_schema, None)
+        extraction = LlmEndpointOracle(client, **LINK)("q", retail_schema, None)
         assert extraction.sources == ("orders",)
         assert len(client.seen) == 1
 
     def test_retry_appends_nudge_and_recovers(self, retail_schema):
         client = ScriptedClient("no answer", "src=orders, dst=customers")
-        extraction = LlmEndpointOracle(client)("q", retail_schema, None)
+        extraction = LlmEndpointOracle(client, **LINK)("q", retail_schema, None)
         assert extraction.sources == ("orders",)
         assert not extraction.degraded
         assert len(client.seen) == 2
@@ -551,26 +555,26 @@ class TestEndpointOracle:
 
     def test_two_bad_replies_degrade(self, retail_schema):
         client = ScriptedClient("nope", "still nope")
-        extraction = LlmEndpointOracle(client)("q", retail_schema, None)
+        extraction = LlmEndpointOracle(client, **LINK)("q", retail_schema, None)
         assert extraction.degraded
         assert len(client.seen) == 2
         assert set(extraction.sources) == set(retail_schema.table_names)
 
     def test_replay_cache_miss_on_retry_degrades(self, retail_schema):
         client = ScriptedClient("nope", CacheMissError("digest absent"))
-        extraction = LlmEndpointOracle(client)("q", retail_schema, None)
+        extraction = LlmEndpointOracle(client, **LINK)("q", retail_schema, None)
         assert extraction.degraded
 
     def test_backend_errors_propagate(self, retail_schema):
         client = ScriptedClient(BackendError("boom"))
         with pytest.raises(BackendError):
-            LlmEndpointOracle(client)("q", retail_schema, None)
+            LlmEndpointOracle(client, **LINK)("q", retail_schema, None)
 
 
 class TestPathOracle:
     def test_returns_selected_id(self):
         client = ScriptedClient("Final Answer: path_id: 2")
-        oracle = LlmPathOracle(client)
+        oracle = LlmPathOracle(client, **LINK)
         assert oracle("q", ["path_id=1: a", "path_id=2: b"]) == 2
         (request,) = client.seen
         assert "path_id=1: a" in request.user_text
@@ -578,12 +582,12 @@ class TestPathOracle:
     def test_out_of_range_propagates(self):
         client = ScriptedClient("path_id: 7")
         with pytest.raises(OutOfRangeError):
-            LlmPathOracle(client)("q", ["path_id=1: a", "path_id=2: b"])
+            LlmPathOracle(client, **LINK)("q", ["path_id=1: a", "path_id=2: b"])
 
     def test_garbage_propagates_parse_error(self):
         client = ScriptedClient("hmm")
         with pytest.raises(ReplyParseError):
-            LlmPathOracle(client)("q", ["path_id=1: a"])
+            LlmPathOracle(client, **LINK)("q", ["path_id=1: a"])
 
 
 HANG = object()  # a scripted response that never comes

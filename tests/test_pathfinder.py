@@ -21,7 +21,7 @@ from schema_linker.pathfinder import (
     LinkerConfig,
     MODE_LABELS,
     MODE_PRESETS,
-    UnionMode,
+    Selection,
     _path_tables,
     _shortest_path_dag,
     canonical_mode_name,
@@ -67,6 +67,10 @@ MODE7 = preset("mode7")
 
 def never_called(lines):
     raise AssertionError("selector must not be consulted")
+
+
+def never_asked(question, lines):
+    raise AssertionError("path oracle must not be consulted")
 
 
 class TestAllShortestPaths:
@@ -132,27 +136,16 @@ class TestAllShortestPaths:
 
 class TestModePresets:
     def test_matrix(self):
-        assert MODE_PRESETS["mode1"] == LinkerConfig(
-            EndpointKeep.ONE, EndpointKeep.ONE, False, UnionMode.APPEND_UNION
-        )
-        assert MODE_PRESETS["mode2"] == LinkerConfig(
-            EndpointKeep.ONE, EndpointKeep.ALL, False, UnionMode.APPEND_UNION
-        )
-        assert MODE_PRESETS["mode3"] == LinkerConfig(
-            EndpointKeep.ALL, EndpointKeep.ONE, False, UnionMode.APPEND_UNION
-        )
-        assert MODE_PRESETS["mode4"] == LinkerConfig(
-            EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.APPEND_UNION
-        )
-        assert MODE_PRESETS["mode5"] == LinkerConfig(
-            EndpointKeep.ALL, EndpointKeep.ALL, True, UnionMode.APPEND_UNION
-        )
-        assert MODE_PRESETS["mode6"] == LinkerConfig(
-            EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.NO_UNION
-        )
-        assert MODE_PRESETS["mode7"] == LinkerConfig(
-            EndpointKeep.ALL, EndpointKeep.ALL, False, UnionMode.FORCE_UNION
-        )
+        one, every = EndpointKeep.ONE, EndpointKeep.ALL
+        assert MODE_PRESETS == {
+            "mode1": LinkerConfig(one, one, Selection.SELECTOR),
+            "mode2": LinkerConfig(one, every, Selection.SELECTOR),
+            "mode3": LinkerConfig(every, one, Selection.SELECTOR),
+            "mode4": LinkerConfig(every, every, Selection.SELECTOR),
+            "mode5": LinkerConfig(every, every, Selection.LONGEST),
+            "mode6": LinkerConfig(every, every, Selection.SELECTOR_NO_UNION),
+            "mode7": LinkerConfig(every, every, Selection.UNION),
+        }
 
     def test_labels_round_trip_as_aliases(self):
         for mode, label in MODE_LABELS.items():
@@ -180,7 +173,7 @@ class TestJoinPath:
         assert JoinPath(("a", "b", "c")).length == 2
 
     def test_sort_key_casefolds(self):
-        assert JoinPath(("B", "a")).sort_key() == ("b", "a")
+        assert JoinPath(("B", "a")).key == ("b", "a")
 
 
 class TestBuildCandidates:
@@ -318,7 +311,7 @@ def mixed_case_adjacency(rng, n_nodes, edge_prob):
 
 def reference_merge(graph, sources, destinations, config):
     """A plain build_candidates: every pair searched afresh, and each path
-    oriented and deduplicated by its sort_key as it is merged."""
+    oriented and deduplicated by its key as it is merged."""
     src_list, dst_list = [], []
     for names, out in ((sources, src_list), (destinations, dst_list)):
         for name in names:
@@ -332,7 +325,7 @@ def reference_merge(graph, sources, destinations, config):
     collected = {}
 
     def add(path):
-        seq = path.sort_key()
+        seq = path.key
         rev = seq[::-1]
         if rev < seq:
             path = JoinPath(path.tables[::-1])
@@ -350,7 +343,7 @@ def reference_merge(graph, sources, destinations, config):
             )
             for name in (src, dst):
                 add(JoinPath((graph.resolve_node(name),)))
-    paths = tuple(sorted(collected.values(), key=JoinPath.sort_key))
+    paths = tuple(sorted(collected.values(), key=lambda path: path.key))
     if diagnostics:
         diagnostics.append("union of candidate paths is not a connected subgraph")
     union = frozenset(table for path in paths for table in path.tables)
@@ -495,7 +488,7 @@ class TestSelectPath:
     def test_empty_candidates_rejected(self):
         empty = CandidateSet(paths=(), union_tables=frozenset())
         with pytest.raises(ValueError):
-            select_path(empty, MODE4)
+            select_path(empty, MODE4, never_called)
 
     def test_forced_union_skips_selector(self, retail_graph):
         candidates = two_path_candidates(retail_graph)
@@ -516,7 +509,7 @@ class TestSelectPath:
     def test_longest_rule_prefers_longer_path(self):
         graph = graph_of(("a", "b"), ("c", "d"), ("d", "e"))
         candidates = build_candidates(graph, ["a", "c"], ["b", "e"], MODE4)
-        selection = select_path(candidates, preset("mode5"))
+        selection = select_path(candidates, preset("mode5"), never_called)
         chosen = candidates.paths[selection.chosen_path_id - 1]
         assert chosen.tables == ("c", "d", "e")
 
@@ -575,12 +568,6 @@ class TestSelectPath:
         assert selection.rule == "fallback_union"
         assert "invalid path_id 0" in selection.warnings[0]
 
-    def test_missing_selector_falls_back_with_warning(self, retail_graph):
-        candidates = two_path_candidates(retail_graph)
-        selection = select_path(candidates, MODE4, None)
-        assert selection.rule == "fallback_union"
-        assert selection.warnings
-
 
 def rendered(schema, graph, result):
     """The filtered schema and the join path a link row shows for result."""
@@ -603,6 +590,7 @@ class TestLinkPipeline:
             retail_schema,
             retail_graph,
             self.endpoints(("customers",), ("products",)),
+            never_asked,
         )(MODE7)
         assert result.union_selected
         assert result.chosen_path_id is None
@@ -664,6 +652,7 @@ class TestLinkPipeline:
                 warnings=("unknown table 'shipments' dropped from reply",),
                 degraded=True,
             ),
+            never_asked,
         )(MODE7)
         assert result.degraded
         assert any("shipments" in w for w in result.warnings)
@@ -689,6 +678,7 @@ class TestLinkPipeline:
             schema,
             graph,
             self.endpoints(("employee",), ("office",)),
+            never_asked,
         )(MODE7)
         schema_text, join_text = rendered(schema, graph, result)
         assert "    FOREIGN KEY (manager) REFERENCES employee(eid),\n" in schema_text
@@ -707,7 +697,7 @@ class TestLinkPipeline:
         )
         graph = augment_sparse_graph(build_graph(schema), schema)
         result = link(
-            "q", schema, graph, self.endpoints(("a",), ("b",))
+            "q", schema, graph, self.endpoints(("a",), ("b",)), never_asked
         )(MODE7)
         schema_text, join_text = rendered(schema, graph, result)
         assert "FOREIGN KEY" not in schema_text
@@ -723,12 +713,8 @@ class TestDegradedLink:
             degraded=True,
         )
         before = dict(retail_graph.path_cache)
-
-        def no_selector(question, lines):
-            raise AssertionError("selector must not be consulted")
-
         linker = link(
-            "q", retail_schema, retail_graph, lambda *args: extraction, no_selector
+            "q", retail_schema, retail_graph, lambda *args: extraction, never_asked
         )
         results = [linker(config) for config in MODE_PRESETS.values()]
         result = results[0]
@@ -789,7 +775,7 @@ class TestCandidateCap:
         adj = grid_adjacency(n)
         graph = graph_from_adjacency(adj)
         corners = ("r0c0",), (f"r{n - 1}c{n - 1}",)
-        result = timed_link(graph, *corners, preset(mode), never_called)
+        result = timed_link(graph, *corners, preset(mode), never_asked)
         # Every cell lies on a shortest corner-to-corner path; brute force
         # enumerates every simple path, which is too slow past 5 x 5.
         union = brute_union(adj, *corners) if n == 5 else set(adj)

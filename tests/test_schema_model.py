@@ -347,6 +347,13 @@ class TestDocumentRoundTrip:
         with pytest.raises(ParseError, match="db_id"):
             schema_from_document({"tables": []})
 
+    def test_blank_column_name_reports_its_position(self):
+        doc = {"db_id": "d", "tables": [{"name": "t", "columns": [{"name": "x"}, {"name": "  "}]}]}
+        with pytest.raises(
+            ParseError, match=r"^doc\.json: tables\[0\]\.columns\[1\]: column name must be"
+        ):
+            schema_from_document(doc, source="doc.json")
+
     def test_duplicate_columns_become_parse_error(self):
         doc = {
             "db_id": "d",

@@ -252,7 +252,11 @@ def scripted(sources, destinations):
     return lambda question, schema, evidence: extraction
 
 
-def join_path_of(schema, graph, endpoints, mode, path_oracle=None):
+def never_asked(question, lines):
+    raise AssertionError("path oracle must not be consulted")
+
+
+def join_path_of(schema, graph, endpoints, mode, path_oracle=never_asked):
     result = link("q", schema, graph, endpoints, path_oracle)(MODE_PRESETS[mode])
     return result, render_join_path(schema, graph, result.chosen_tables, result.chosen_path())
 
