@@ -21,10 +21,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .errors import EmptyInputError, GoldExecutionError, NoSchemasFoundError, ParseError
+from .errors import EmptyInputError, GoldExecutionError, LinkerError, NoSchemasFoundError, ParseError
 from .jsonl import JsonlAppender, read_jsonl
 from .llm import (
     CacheMode,
@@ -203,6 +204,7 @@ def ingest_dataset(
     questions: list[Question] = []
     diagnostics: list[str] = []
     first_seen: dict[str, int] = {}
+    has_schema: dict[str, bool] = {}  # one look on disk per database
     found_any_schema = False
     for i, row in enumerate(rows):
         where = f"{path.name}[{i}]"
@@ -222,7 +224,9 @@ def ingest_dataset(
         gold_sql = row.get("SQL") or ""
         if require_gold_sql and not gold_sql:
             raise ParseError(f"{where} (question_id={question_id}): missing field 'SQL'")
-        if not repo.has(db_id):
+        if db_id not in has_schema:
+            has_schema[db_id] = repo.has(db_id)
+        if not has_schema[db_id]:
             diagnostics.append(f"{where}: skipped; no schema source for database {db_id!r}")
             continue
         found_any_schema = True
@@ -581,10 +585,10 @@ def run_evaluation(
     ``run_output`` is a run output file or its latest rows by question_id.
     Gold table sets come from extracting table references out of each gold
     query. Questions whose gold SQL cannot be parsed or names a table the
-    schema lacks are excluded from the schema aggregates and reported
-    separately, as are gold queries that fail to execute when execution
-    checking is on. A generated row without SQL is an execution miss.
-    Report output is byte-stable for a given run output. Gold table sets
+    schema lacks, or whose schema fails to load, are excluded from the
+    schema aggregates and reported separately, as are gold queries that
+    fail to execute when execution checking is on. A generated row without
+    SQL is an execution miss. Report output is byte-stable for a given run output. Gold table sets
     are kept by ``repo``.
     """
     report_dir = Path(report_dir)
@@ -601,7 +605,7 @@ def run_evaluation(
             continue
         try:
             gold = repo.gold_tables(question)
-        except ParseError as exc:
+        except LinkerError as exc:  # bad gold SQL, or a schema that fails to load
             extraction_failures.append(
                 {"question_id": question.question_id, "reason": str(exc)}
             )
@@ -614,20 +618,24 @@ def run_evaluation(
         # Grouped by database, so consecutive checks share one connection.
         by_database = sorted(range(len(scored)), key=lambda i: scored[i][0].db_id)
         with ReadOnlyConnections() as connections:
-            for i in by_database:
-                question, _, row = scored[i]
-                if "predicted_sql" not in row:
-                    continue  # a link-only output has nothing to execute
-                database = repo.database_path(question.db_id)
-                if database is None:
-                    exec_failures[i] = f"no SQLite database for {question.db_id!r}"
-                    continue
-                try:
-                    exec_flags[i] = execution_match(
-                        row["predicted_sql"], question.gold_sql, database, connections=connections
-                    )
-                except GoldExecutionError as exc:
-                    exec_failures[i] = str(exc)
+            for db_id, group in groupby(by_database, key=lambda i: scored[i][0].db_id):
+                database = repo.database_path(db_id)
+                for i in group:
+                    question, _, row = scored[i]
+                    if "predicted_sql" not in row:
+                        continue  # a link-only output has nothing to execute
+                    if database is None:
+                        exec_failures[i] = f"no SQLite database for {db_id!r}"
+                        continue
+                    try:
+                        exec_flags[i] = execution_match(
+                            row["predicted_sql"],
+                            question.gold_sql,
+                            database,
+                            connections=connections,
+                        )
+                    except GoldExecutionError as exc:
+                        exec_failures[i] = str(exc)
     gold_execution_failures = [
         {"question_id": scored[i][0].question_id, "reason": exec_failures[i]}
         for i in sorted(exec_failures)

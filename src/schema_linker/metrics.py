@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import time
 from collections import Counter
@@ -157,31 +158,47 @@ class ReadOnlyConnections:
     """Holds at most one read-only connection, to the database used last.
 
     Reopening a database costs a schema parse on its first statement, so
-    consecutive queries on one database share a connection. An authorizer
-    lets every statement through but marks the connection dirty as soon as
-    one does more than read; a dirty connection, or one to another
-    database, is closed before the next use. Every caller therefore starts
-    on a connection in its freshly opened state.
+    consecutive queries on one database share a connection. What belongs
+    to a database is paid once per opened connection: the check that its
+    file exists, an authorizer, and one progress handler that interrupts a
+    statement once the deadline set by ``execute`` has passed. The
+    authorizer lets every statement through but marks the connection dirty
+    as soon as one does more than read; a dirty connection, or one to
+    another database, is closed before the next use. Every caller therefore
+    starts on a connection in its freshly opened state.
     """
 
     def __init__(self) -> None:
-        self._database: Path | None = None
+        self._database: str | None = None
         self._connection: sqlite3.Connection | None = None
         self._dirty = False
+        self._deadline = 0.0
 
-    def connect(self, database: Path) -> sqlite3.Connection:
+    def connect(self, database: str) -> sqlite3.Connection:
+        """A connection to the database file at path ``database``."""
         if self._connection is not None and (self._dirty or database != self._database):
             self.close()
         if self._connection is None:
+            if not os.path.isfile(database):
+                raise FileNotFoundError(f"no such database file: {database}")
             connection = sqlite3.connect(f"file:{database}?mode=ro", uri=True)
             connection.set_authorizer(self._authorize)
+            connection.set_progress_handler(self._past_deadline, 5000)
             self._connection, self._database, self._dirty = connection, database, False
         return self._connection
+
+    def execute(self, connection: sqlite3.Connection, sql: str, timeout_s: float) -> list:
+        """The rows of one statement on ``connection``, interrupted after ``timeout_s``."""
+        self._deadline = time.monotonic() + timeout_s
+        return connection.execute(sql).fetchall()
 
     def _authorize(self, action: int, *_args) -> int:
         if action not in _READ_ONLY_ACTIONS:
             self._dirty = True
         return sqlite3.SQLITE_OK
+
+    def _past_deadline(self) -> bool:
+        return time.monotonic() > self._deadline
 
     def close(self) -> None:
         if self._connection is not None:
@@ -193,19 +210,6 @@ class ReadOnlyConnections:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _run_statement(
-    connection: sqlite3.Connection, sql: str, timeout_s: float
-) -> list[tuple]:
-    deadline = time.monotonic() + timeout_s
-    connection.set_progress_handler(
-        lambda: 1 if time.monotonic() > deadline else 0, 5000
-    )
-    try:
-        return [tuple(row) for row in connection.execute(sql).fetchall()]
-    finally:
-        connection.set_progress_handler(None, 0)
 
 
 def execution_match(
@@ -224,23 +228,22 @@ def execution_match(
     through ``connections``, which keeps the connection for the next call
     on the same database; without it, the call opens and closes its own.
     """
-    database = Path(database)
-    if not database.is_file():
-        raise FileNotFoundError(f"no such database file: {database}")
     holder = ReadOnlyConnections() if connections is None else connections
     try:
-        connection = holder.connect(database)
+        connection = holder.connect(os.fspath(database))
         try:
-            gold_rows = _run_statement(connection, gold_sql, timeout_s)
+            gold_rows = holder.execute(connection, gold_sql, timeout_s)
         except (sqlite3.Error, sqlite3.Warning) as exc:  # Python 3.10 warns on two statements
             raise GoldExecutionError(f"gold SQL failed: {exc}") from exc
         if not predicted_sql:
             return False
         try:
-            predicted_rows = _run_statement(connection, predicted_sql, timeout_s)
+            predicted_rows = holder.execute(connection, predicted_sql, timeout_s)
         except (sqlite3.Error, sqlite3.Warning):
             return False
-        return Counter(gold_rows) == Counter(predicted_rows)
+        # dict equality, not Counter's: counts built from rows are never zero,
+        # and Counter.__eq__ compares them in a Python-level generator.
+        return dict.__eq__(Counter(gold_rows), Counter(predicted_rows))
     finally:
         if connections is None:
             holder.close()

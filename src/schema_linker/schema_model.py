@@ -324,16 +324,22 @@ def augment_sparse_graph(graph: SchemaGraph, schema: Schema) -> SchemaGraph:
     declared = {_pair_key(*edge.tables) for edge in graph.edges}
     edges = list(graph.edges)
     ordered = sorted(schema.tables, key=lambda table: table.name.casefold())
+    # Each table's id-like columns by casefolded name, in column order. Two
+    # columns with one casefolded name are both id-like or both not.
+    id_columns = {
+        table.name: {
+            col.name.casefold(): col for col in table.columns if is_id_like_column(col.name)
+        }
+        for table in ordered
+    }
     for first, second in combinations(ordered, 2):
         if _pair_key(first.name, second.name) in declared:
             continue
-        second_cols = {col.name.casefold(): col for col in second.columns}
+        second_cols = id_columns[second.name]
         shared = []
-        for col in first.columns:
-            twin = second_cols.get(col.name.casefold())
+        for key, col in id_columns[first.name].items():
+            twin = second_cols.get(key)
             if twin is None:
-                continue
-            if not is_id_like_column(col.name):
                 continue
             shared.append(
                 ForeignKeyEdge(

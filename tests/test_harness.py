@@ -39,18 +39,18 @@ from schema_linker.llm import (
     render_sql_gen_prompt,
 )
 from schema_linker.pathfinder import Selection
-from schema_linker.schema_model import Schema, SchemaGraph
+from schema_linker.schema_model import SQLITE_MAGIC, Schema, SchemaGraph
 
 from conftest import ALL_MODES, read_rows, reference_digest
 from reference_render import reference_render, wide_schema
 from toy_corpus import (
     CORPUS,
     DB_ID,
-    FIRST_REPLY_S,
     ScriptedBackend,
     SlowStartBackend,
     build_database,
     corpus_row_by_question,
+    first_reply_s,
     write_corpus,
 )
 
@@ -147,6 +147,26 @@ class TestIngestDataset:
         path.write_text(json.dumps(rows), encoding="utf-8")
         with pytest.raises(ParseError, match=r"d\.json\[2\].*'1'.*d\.json\[0\]"):
             ingest_dataset(path, schema_root)
+
+    def test_each_database_is_looked_up_once(self, tmp_path, schema_root, monkeypatch):
+        db_ids = [DB_ID, "ghost", DB_ID, "ghost", DB_ID]
+        rows = [
+            {"question_id": i, "db_id": db_id, "question": f"q{i}"}
+            for i, db_id in enumerate(db_ids, start=1)
+        ]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        looked_up, real_has = [], SchemaRepository.has
+
+        def has(self, db_id):
+            looked_up.append(db_id)
+            return real_has(self, db_id)
+
+        monkeypatch.setattr(SchemaRepository, "has", has)
+        questions, diagnostics = ingest_dataset(path, schema_root)
+        assert looked_up == [DB_ID, "ghost"]
+        assert [q.question_id for q in questions] == ["1", "3", "5"]
+        assert [message.split(":")[0] for message in diagnostics] == ["d.json[1]", "d.json[3]"]
 
     def test_require_gold_sql(self, tmp_path, schema_root):
         rows = [{"question_id": 1, "db_id": DB_ID, "question": "q"}]
@@ -882,7 +902,7 @@ class TestRowRunner:
 
         def slow_first(request):
             if next(calls) == 0:
-                time.sleep(FIRST_REPLY_S)
+                time.sleep(first_reply_s())
             return real_complete(request)
 
         monkeypatch.setattr(client, "complete", slow_first)
@@ -1062,7 +1082,7 @@ def usage_endpoint():
     endpoint reply, and its retry is refused with HTTP 400, so its row
     fails after spending one unit. Question NO_SQL_QUESTION gets a
     generation reply without SQL. With ``hold`` set, the first request
-    waits ``FIRST_REPLY_S``, so a record run starts its threads after that
+    waits ``first_reply_s()``, so a record run starts its threads after that
     question; then the first ``hold`` requests of other questions wait
     until all of them are in flight, and ``overlapped`` lists their tags.
     """
@@ -1087,7 +1107,7 @@ def usage_endpoint():
                 tag = f"q{corpus_row_by_question(question)['question_id']}"
                 if hold and next(arrivals) == 0:  # its question runs alone
                     first.append(tag)
-                    time.sleep(FIRST_REPLY_S)
+                    time.sleep(first_reply_s())
                 elif hold and tag not in first and next(holds) < hold:
                     held.wait()
                     overlapped.append(tag)
@@ -1754,6 +1774,78 @@ class TestEvaluationAcrossDatabases:
         assert len(sqlite_connections.opened) == 6  # a schema load and a check per database
         assert sqlite_connections.peak == 1
         assert sqlite_connections.open == 0
+
+
+class TestSchemasThatFailToLoad:
+    """A database whose schema fails to load costs its own questions, not the run."""
+
+    BROKEN = "broken"
+    BROKEN_QUESTIONS = ["2", "5"]
+
+    @staticmethod
+    def unreadable_sqlite(directory: Path) -> str:
+        directory.mkdir(parents=True)
+        (directory / "broken.sqlite").write_bytes(SQLITE_MAGIC + b"\xff" * 4080)
+        return "unreadable SQLite database"
+
+    @staticmethod
+    def dangling_key_document(directory: Path) -> str:
+        directory.mkdir(parents=True)
+        document = {
+            "db_id": "broken",
+            "tables": [{"name": "t", "columns": [{"name": "x"}]}],
+            "foreign_keys": [
+                {"from_table": "t", "from_column": "x", "to_table": "ghost", "to_column": "x"}
+            ],
+        }
+        (directory / "schema.json").write_text(json.dumps(document), encoding="utf-8")
+        return "foreign key references unknown table 'ghost'"
+
+    @pytest.fixture(params=["unreadable_sqlite", "dangling_key_document"])
+    def corpus(self, request, tmp_path):
+        """The toy corpus with two questions moved to a database that fails to load."""
+        root = tmp_path / "schemas"
+        build_database(root / DB_ID / f"{DB_ID}.sqlite")
+        reason = getattr(self, request.param)(root / self.BROKEN)
+        questions = [
+            Question(
+                question_id=str(row["question_id"]),
+                db_id=self.BROKEN if str(row["question_id"]) in self.BROKEN_QUESTIONS else DB_ID,
+                text=row["question"],
+                gold_sql=row["SQL"],
+            )
+            for row in CORPUS
+        ]
+        return SimpleNamespace(repo=SchemaRepository(root), questions=questions, reason=reason)
+
+    def test_evaluation_lists_their_questions_as_extraction_failures(self, corpus, tmp_path):
+        rows = {
+            question.question_id: {"question_id": question.question_id, "chosen_tables": ["orders"]}
+            for question in corpus.questions
+        }
+        summary = run_evaluation(
+            rows, corpus.questions, corpus.repo, report_dir=tmp_path / "r"
+        ).summary
+        failures = summary["extraction_failures"]["rows"]
+        assert [failure["question_id"] for failure in failures] == self.BROKEN_QUESTIONS
+        assert all(corpus.reason in failure["reason"] for failure in failures)
+        assert summary["rows_evaluated"] == len(CORPUS) - len(self.BROKEN_QUESTIONS)
+
+    def test_sweep_still_writes_its_grid(self, corpus, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        client = CachingClient(
+            TranscriptCache(cache_path), backend=ScriptedBackend(), mode="record"
+        )
+        config = RunConfig(cache_path=cache_path, cache_mode="record", workers=1)
+        result = run_sweep(
+            corpus.questions, config, corpus.repo, tmp_path / "sweep",
+            modes=["mode4", "mode7"], client=client,
+        )  # fmt: skip
+        assert [row["mode"] for row in result["rows"]] == ["mode4", "mode7"]
+        broken = len(self.BROKEN_QUESTIONS)
+        assert all(row["count"] == len(CORPUS) - broken for row in result["rows"])
+        assert all(outcome.failed == broken for outcome in result["outcomes"].values())
+        assert len(result["grid_csv"].read_text(encoding="utf-8").splitlines()) == 3
 
 
 class TestRunSweep:

@@ -11,7 +11,8 @@ cache file. Every file the two runs wrote must then read back whole.
 
 The backend's first reply is slow, as a real endpoint's is, so the sweep's
 two workers start after its first question, and some of its kills land on
-writes made by pool threads.
+writes made by pool threads. The harness's wait threshold is cut to 2 ms
+here, and the slow reply waits twice that, so the many runs stay quick.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from schema_linker.llm import request_digest
 from toy_corpus import ScriptedBackend, SlowStartBackend
 
 REPORTS = ("summary.json", "per_question.csv", "grid.csv", "grid.json")
+
+
+@pytest.fixture(autouse=True)
+def quick_pool(monkeypatch):
+    monkeypatch.setattr(harness, "POOL_AFTER_WAIT_S", 0.002)
 
 
 class Killed(BaseException):

@@ -329,6 +329,27 @@ class TestReadOnlyConnections:
         assert sqlite_connections.peak == 1
         assert sqlite_connections.open == 0
 
+    def test_a_timeout_holds_for_its_statement_only(self, toy_db):
+        bomb = (
+            "WITH RECURSIVE r(n) AS "
+            "(SELECT 1 UNION ALL SELECT n + 1 FROM r) "
+            "SELECT MAX(n) FROM r"
+        )
+        fast = "SELECT x FROM t"
+        with ReadOnlyConnections() as connections:
+            assert not execution_match(
+                bomb, "SELECT 1", toy_db, timeout_s=0.05, connections=connections
+            )
+            assert execution_match(fast, fast, toy_db, timeout_s=0.05, connections=connections)
+
+    def test_a_missing_database_is_an_error(self, toy_db, tmp_path):
+        with ReadOnlyConnections() as connections:
+            assert execution_match("SELECT 1", "SELECT 1", toy_db, connections=connections)
+            with pytest.raises(FileNotFoundError):
+                execution_match(
+                    "SELECT 1", "SELECT 1", tmp_path / "absent.sqlite", connections=connections
+                )
+
     def test_without_a_holder_each_call_closes_its_connection(
         self, toy_db, sqlite_connections
     ):

@@ -15,7 +15,7 @@ import threading
 import time
 from pathlib import Path
 
-from schema_linker.harness import POOL_AFTER_WAIT_S
+from schema_linker import harness
 from schema_linker.llm import CompletionRequest, PromptId
 from schema_linker.llm import SYSTEM_PROMPTS
 
@@ -321,11 +321,17 @@ class ScriptedBackend:
         return f"Here is the query:\n```sql\n{row['SQL']}\n```\n"
 
 
-FIRST_REPLY_S = 2 * POOL_AFTER_WAIT_S
+def first_reply_s() -> float:
+    """How long a slow first reply waits: twice ``harness.POOL_AFTER_WAIT_S``.
+
+    Read when the wait runs, so a test that patches the threshold gets a
+    wait to match.
+    """
+    return 2 * harness.POOL_AFTER_WAIT_S
 
 
 class SlowStartBackend(ScriptedBackend):
-    """A ScriptedBackend whose first reply waits ``FIRST_REPLY_S``, as a real endpoint's does.
+    """A ScriptedBackend whose first reply waits ``first_reply_s()``, as a real endpoint's does.
 
     That wait is longer than the harness allows before it starts its
     threads, so a record run with more than one worker hands the questions
@@ -338,5 +344,5 @@ class SlowStartBackend(ScriptedBackend):
 
     def complete(self, request: CompletionRequest) -> str:
         if next(self.arrivals) == 0:
-            time.sleep(FIRST_REPLY_S)
+            time.sleep(first_reply_s())
         return super().complete(request)
